@@ -27,13 +27,13 @@ from .feasibility import (
     NecessaryConditionError,
     SolverOptions,
     busch_value,
+    conjugate_is_b_channel,
     find_joint_observable,
-    recover_b_prime,
     witness_povm,
 )
 from .harness import CHECK_NAMES, Report, CheckResult, run_checks
 from .linalg import frob, is_psd
-from .povm import Povm, bloch_vector, is_sharp, validate
+from .povm import SIGMA_X, SIGMA_Y, SIGMA_Z, Povm, bloch_vector, is_sharp, validate
 from .sequential import modified_observable, universal_channel, verify_sequential
 from .serialize import (
     SchemaError,
@@ -201,9 +201,7 @@ def _unbiased_qubit_binary(p: Povm, tol: float = 1e-9):
     t = float(np.linalg.norm(v))
     if not 0 < t <= 1 + tol:
         return None
-    model = 0.5 * (np.eye(2) + v[0] * np.array([[0, 1], [1, 0]])
-                   + v[1] * np.array([[0, -1j], [1j, 0]])
-                   + v[2] * np.diag([1, -1]))
+    model = 0.5 * (np.eye(2) + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
     if frob(eff - model) > tol or frob(p.effects[0] - (np.eye(2) - model)) > tol:
         return None
     return min(t, 1.0), v / t
@@ -300,8 +298,6 @@ def cmd_conjugate_test(args) -> int:
     b = povm_from_json(_read_json(args.b_path))
     inputs = {p: _file_digest(p) for p in (args.channel_path, args.b_path)}
     opts = _solver_options(args)
-    from .feasibility import conjugate_is_b_channel
-
     start = time.perf_counter()
     out = conjugate_is_b_channel(c, b, opts=opts)
     print(f"conjugate channel test: {out.status} (residual {out.residual:.3e})")
@@ -310,7 +306,7 @@ def cmd_conjugate_test(args) -> int:
                      time.perf_counter() - start, outcome_to_json(out))]
     code = _status_exit(out.status)
     if out.status == FEASIBLE:
-        b_prime = recover_b_prime(c, b, opts=opts)
+        b_prime = witness_povm(out)
         verified = verify_sequential(c, b_prime, b, tol=max(1e-6, 10 * opts.tol))
         print(f"recovered observable verifies: {verified}")
         if args.witness_out:

@@ -1,13 +1,23 @@
 """Convex feasibility engine for measurement compatibility questions.
 
-Every decision here reduces to one primitive: find matrices in the
-intersection of the cone of positive semidefinite blocks with a few
-affine sets (fixed block sums, fixed partial traces, fixed images under
-a linear map).  The solver is Dykstra's alternating projection method,
-which converges to a point of the intersection whenever one exists.  It
-carries no separating certificate, so infeasibility is heuristic: when
-the residual stalls far above tolerance the run is declared infeasible
-and the stalled level is reported as a floor.  An honest "undecided" is
+Every decision here is a search for an observable, a family of positive
+semidefinite blocks, under linear constraints of one of two kinds:
+
+* fixed marginals: the joint observable of two or three given ones
+  (`find_joint_observable`);
+* a Heisenberg preimage: an observable F on a channel's output whose
+  dual images c*(F_y) are fixed effects B_y.  Asked of the channel it
+  decides whether some later observable reproduces B
+  (`conjugate_is_b_channel`, `recover_b_prime`); asked of the
+  conjugate channel it decides whether the channel splits into
+  branches measuring B (`is_a_channel`), because those branches are
+  exactly the observables on the Stinespring environment.
+
+The solver is Dykstra's alternating projection method, which converges
+to a point of the intersection whenever one exists.  It carries no
+separating certificate, so infeasibility is heuristic: when the
+residual stalls far above tolerance the run is declared infeasible and
+the stalled residual is reported as a floor.  An honest "undecided" is
 a possible answer.
 
 Rank-deficient constraint data pins every solution to a face of the
@@ -31,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, choi, choi_parts, conjugate
-from .linalg import as_complex, dagger, frob, is_psd
-from .povm import SIGMA_X, SIGMA_Z, Label, Povm, as_label
+from .channels import KrausChannel, conjugate, heisenberg_apply
+from .linalg import as_complex, dagger, frob
+from .povm import SIGMA_X, SIGMA_Z, Label, Povm
 
 __all__ = [
     "FEASIBLE",
@@ -44,8 +54,6 @@ __all__ = [
     "FeasibilityOutcome",
     "NecessaryConditionError",
     "FeasibilityError",
-    "DecompositionProblem",
-    "decompose_psd",
     "is_a_channel",
     "conjugate_is_b_channel",
     "recover_b_prime",
@@ -62,6 +70,9 @@ UNDECIDED = "undecided"
 
 # cheap necessary conditions are checked to this absolute scale
 NECESSARY_TOL = 1e-7
+# singular values below this fraction of the largest count as zero when
+# a span or a pseudo-inverse is formed
+RANK_RCOND = 1e-10
 
 
 class NecessaryConditionError(ValueError):
@@ -158,28 +169,6 @@ class _SumToTotal:
         return float(np.linalg.norm(x.sum(axis=0) - self.total))
 
 
-class _BlockTraces:
-    """Affine set: each block has a fixed partial trace over the first factor."""
-
-    def __init__(self, targets: np.ndarray, dim_out: int, dim_in: int):
-        self.targets = targets
-        self.dim_out = dim_out
-        self.dim_in = dim_in
-        self.eye = np.eye(dim_out)
-
-    def _traces(self, x: np.ndarray) -> np.ndarray:
-        g = x.reshape(-1, self.dim_out, self.dim_in, self.dim_out, self.dim_in)
-        return np.einsum("naiaj->nij", g)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        defect = (self.targets - self._traces(x)) / self.dim_out
-        lift = np.einsum("ab,nij->naibj", self.eye, defect)
-        return x + lift.reshape(x.shape)
-
-    def violation(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self._traces(x) - self.targets))
-
-
 class _MarginalFamily:
     """Affine set: one coordinate's marginal of a product-labeled grid is fixed."""
 
@@ -236,7 +225,7 @@ def _complement_projector(cols: np.ndarray, dim: int) -> np.ndarray:
     if cols.size == 0:
         return np.eye(dim, dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    u = u[:, s > 1e-10 * s[0]]
+    u = u[:, s > RANK_RCOND * s[0]]
     return np.eye(dim, dtype=complex) - u @ dagger(u)
 
 
@@ -244,10 +233,15 @@ class _HeisenbergImages:
     """Affine set: each block maps to a fixed matrix under the channel's dual."""
 
     def __init__(self, kraus: Sequence[np.ndarray], rhs: Sequence[np.ndarray]):
-        smat = sum(np.kron(dagger(k), k.T) for k in kraus)
-        gram = smat @ dagger(smat)
-        self.smat = smat
-        self.pmat = dagger(smat) @ np.linalg.pinv(gram, hermitian=True)
+        k = np.stack(kraus)
+        d_out, d_in = k.shape[1:]
+        # row-major vec(K^dag F K) = kron(K^dag, K^T) vec(F), summed over K
+        smat = np.einsum("kai,kbj->ijab", k.conj(), k, optimize=True)
+        self.smat = smat.reshape(d_in * d_in, d_out * d_out)
+        # smat smat^dag is X -> sum_kl G X G^dag over G = K_k^dag K_l
+        g = (np.conj(np.swapaxes(k, 1, 2))[:, None] @ k).reshape(-1, d_in, d_in)
+        gram = np.einsum("gac,gbd->abcd", g, g.conj()).reshape(d_in * d_in, d_in * d_in)
+        self.ginv = np.linalg.pinv(gram, rcond=RANK_RCOND, hermitian=True)
         self.rhs = np.stack([as_complex(m).reshape(-1) for m in rhs])
 
     def _images(self, flat: np.ndarray) -> np.ndarray:
@@ -256,7 +250,7 @@ class _HeisenbergImages:
     def project(self, x: np.ndarray) -> np.ndarray:
         flat = x.reshape(x.shape[0], -1)
         defect = self._images(flat) - self.rhs
-        return (flat - defect @ self.pmat.T).reshape(x.shape)
+        return (flat - defect @ self.ginv.T @ self.smat.conj()).reshape(x.shape)
 
     def violation(self, x: np.ndarray) -> float:
         flat = x.reshape(x.shape[0], -1)
@@ -309,81 +303,43 @@ def _outcome(status, x, res, iters, history, labels=None) -> FeasibilityOutcome:
     )
 
 
-# --- block decomposition ----------------------------------------------------
+# --- channel questions -----------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DecompositionProblem:
-    """Split a positive block into labeled positive parts with prescribed
-    partial traces over the first tensor factor.
-
-    `dims` is (dim of the first factor, dim of the second); their product
-    is the side of `total`, and targets live on the second factor.
-    """
-
-    total: np.ndarray
-    targets: tuple[tuple[Label, np.ndarray], ...]
-    dims: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        d_first, d_second = self.dims
-        total = as_complex(self.total)
-        side = d_first * d_second
-        if total.shape != (side, side):
-            raise ValueError(f"total must be {side}x{side} for dims {self.dims}")
-        targets = []
-        for lbl, m in self.targets:
-            m = as_complex(m)
-            if m.shape != (d_second, d_second):
-                raise ValueError("every target must live on the second factor")
-            if frob(m - dagger(m)) > NECESSARY_TOL:
-                raise ValueError("targets must be Hermitian")
-            targets.append((as_label(lbl), m))
-        if not targets:
-            raise ValueError("need at least one target")
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "targets", tuple(targets))
-        object.__setattr__(self, "dims", (int(d_first), int(d_second)))
-        reduced = np.einsum(
-            "aiaj->ij", total.reshape(d_first, d_second, d_first, d_second)
-        )
-        gap = frob(sum(m for _, m in targets) - reduced)
-        if gap > NECESSARY_TOL * math.sqrt(side):
-            raise NecessaryConditionError(
-                f"targets do not sum to the reduction of total (defect {gap:.3e})"
-            )
-
-
-def decompose_psd(
-    p: DecompositionProblem, opts: SolverOptions = DEFAULT_OPTIONS
+def _heisenberg_preimage(
+    c: KrausChannel, b: Povm, opts: SolverOptions
 ) -> FeasibilityOutcome:
-    """Search for positive parts of `total` with the prescribed traces."""
-    if not is_psd(p.total):
-        raise NecessaryConditionError("total is not positive semidefinite")
-    d_first, d_second = p.dims
-    n = len(p.targets)
-    labels = tuple(lbl for lbl, _ in p.targets)
-    targets = np.stack([m for _, m in p.targets])
-    x0 = np.broadcast_to(p.total / n, (n,) + p.total.shape)
+    """Search for an observable F on the output of `c` with c*(F_y) = B_y.
+
+    A feasible witness is the list of effects F_y in the label order of
+    `b` (see `witness_povm`).
+    """
+    eye = np.eye(c.dim_out, dtype=complex)
+    gap = frob(sum(b.effects) - heisenberg_apply(c, eye))
+    if gap > NECESSARY_TOL * math.sqrt(c.dim_in):
+        raise NecessaryConditionError(
+            f"effects do not sum to the dual image of the identity (defect {gap:.3e})"
+        )
+    x0 = np.zeros((len(b), c.dim_out, c.dim_out), dtype=complex)
     sets: list = [
-        _SumToTotal(p.total, n),
-        _BlockTraces(targets, d_first, d_second),
+        _SumToTotal(eye, len(b)),
+        _HeisenbergImages(c.kraus, b.effects),
     ]
-    # a positive block whose reduction is rank deficient must vanish on
-    # the kernel of its own trace target
+    # each positive branch image sits below its target, so the solution
+    # must kill every Kraus image of the target's kernel
     pins = []
     pinned = False
-    for _, m in p.targets:
-        kern = _kernel_cols(m)
+    for eff in b.effects:
+        kern = _kernel_cols(eff)
         if kern.shape[1]:
             pinned = True
-            keep = _complement_projector(kern, d_second)
-            pins.append(np.kron(np.eye(d_first, dtype=complex), keep))
+            span = np.hstack([k @ kern for k in c.kraus])
+            pins.append(_complement_projector(span, c.dim_out))
         else:
-            pins.append(np.eye(d_first * d_second, dtype=complex))
+            pins.append(eye)
     if pinned:
         sets.insert(0, _SupportPin(np.stack(pins)))
     status, x, res, iters, history = _run_dykstra(x0, sets, opts)
-    return _outcome(status, x, res, iters, history, labels)
+    return _outcome(status, x, res, iters, history, b.labels)
 
 
 def is_a_channel(
@@ -391,38 +347,33 @@ def is_a_channel(
 ) -> FeasibilityOutcome:
     """Decide whether the channel splits into branches measuring `a`.
 
-    When the channel already carries a branch partition consistent with
-    `a`, its Choi parts are returned as the witness without running the
-    solver.
+    The branches of `c` are exactly the observables on its Stinespring
+    environment read through the conjugate channel, so a feasible
+    witness is such an observable.  When the channel already carries a
+    branch partition consistent with `a`, the indicators of its branches
+    are returned as the witness without running the solver.
     """
     if a.dim != c.dim_in:
         raise ValueError("observable must live on the channel input space")
+    env = conjugate(c)
     if c.partition is not None and c.labels == a.labels:
-        parts = choi_parts(c)
-        gap = 0.0
-        for lbl, eff in a.outcomes:
-            part = parts[lbl]
-            reduced = np.einsum(
-                "aiaj->ij", part.reshape(c.dim_out, c.dim_in, c.dim_out, c.dim_in)
-            )
-            gap += frob(reduced - eff.T) ** 2
-        gap = math.sqrt(gap)
+        marks = tuple(
+            np.diag([complex(k in c.partition[lbl]) for k in range(len(c.kraus))])
+            for lbl in a.labels
+        )
+        gap = math.sqrt(sum(
+            frob(heisenberg_apply(env, f) - eff) ** 2
+            for f, eff in zip(marks, a.effects)
+        ))
         if gap <= opts.tol:
             return FeasibilityOutcome(
                 status=FEASIBLE,
                 residual=gap,
                 iterations=0,
-                witness=tuple(parts[lbl] for lbl in a.labels),
+                witness=marks,
                 witness_labels=a.labels,
             )
-    # the trailing transpose matches how the input factor sits inside
-    # the channel's Choi matrix
-    problem = DecompositionProblem(
-        total=choi(c).matrix,
-        targets=tuple((lbl, eff.T) for lbl, eff in a.outcomes),
-        dims=(c.dim_out, c.dim_in),
-    )
-    return decompose_psd(problem, opts)
+    return _heisenberg_preimage(env, a, opts)
 
 
 def conjugate_is_b_channel(
@@ -431,11 +382,12 @@ def conjugate_is_b_channel(
     """Decide whether the leaked side of the channel can measure `b`.
 
     Feasibility here is exactly the condition for some later observable
-    on the channel output to reproduce `b` on the input.
+    on the channel output to reproduce `b` on the input, and a feasible
+    witness is that observable's effects.
     """
     if b.dim != c.dim_in:
         raise ValueError("observable must live on the channel input space")
-    return is_a_channel(conjugate(c), b, opts)
+    return _heisenberg_preimage(c, b, opts)
 
 
 def recover_b_prime(
@@ -443,42 +395,17 @@ def recover_b_prime(
 ) -> Povm:
     """Find an observable on the channel output that reproduces `b`.
 
-    Runs the conjugate-channel test first and raises when it does not
-    come back feasible; the returned observable passes
-    `verify_sequential(c, result, b)` at the solver tolerance.
+    Returns the witness of the conjugate-channel test and raises when
+    that test does not come back feasible; the returned observable
+    passes `verify_sequential(c, result, b)` at the solver tolerance.
     """
-    pre = conjugate_is_b_channel(c, b, opts)
-    if pre.status != FEASIBLE:
+    out = conjugate_is_b_channel(c, b, opts)
+    if out.status != FEASIBLE:
         raise FeasibilityError(
-            f"no compensating observable: conjugate-channel test was {pre.status} "
-            f"(residual {pre.residual:.3e})"
+            f"no compensating observable: conjugate-channel test was {out.status} "
+            f"(residual {out.residual:.3e})"
         )
-    x0 = np.zeros((len(b), c.dim_out, c.dim_out), dtype=complex)
-    sets: list = [
-        _SumToTotal(np.eye(c.dim_out, dtype=complex), len(b)),
-        _HeisenbergImages(c.kraus, [eff for _, eff in b.outcomes]),
-    ]
-    # each positive branch image sits below its target, so the solution
-    # must kill every Kraus image of the target's kernel
-    pins = []
-    pinned = False
-    for _, eff in b.outcomes:
-        kern = _kernel_cols(eff)
-        if kern.shape[1]:
-            pinned = True
-            span = np.hstack([k @ kern for k in c.kraus])
-            pins.append(_complement_projector(span, c.dim_out))
-        else:
-            pins.append(np.eye(c.dim_out, dtype=complex))
-    if pinned:
-        sets.insert(0, _SupportPin(np.stack(pins)))
-    status, x, res, iters, _ = _run_dykstra(x0, sets, opts)
-    if status != FEASIBLE:
-        raise FeasibilityError(
-            f"recovery solve ended {status} at residual {res:.3e} "
-            f"after {iters} sweeps"
-        )
-    return Povm(c.dim_out, tuple(zip(b.labels, x)))
+    return witness_povm(out)
 
 
 def find_joint_observable(

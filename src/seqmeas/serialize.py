@@ -224,6 +224,8 @@ def outcome_to_json(o: FeasibilityOutcome) -> dict:
     }
     if o.witness is not None:
         doc["witness"] = [matrix_to_json(w) for w in o.witness]
+    if o.infeasibility_floor is not None:
+        doc["infeasibility_floor"] = float(o.infeasibility_floor)
     return doc
 
 

@@ -1,4 +1,4 @@
-"""Tests for the feasibility solvers: decompositions, joint searches, recovery."""
+"""Tests for the feasibility solvers: channel questions, joint searches, recovery."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 
 from seqmeas.channels import (
     KrausChannel,
-    choi,
     classical_channel,
     conjugate,
+    heisenberg_apply,
     identity_channel,
     luders,
 )
@@ -18,21 +18,18 @@ from seqmeas.feasibility import (
     FEASIBLE,
     INFEASIBLE,
     UNDECIDED,
-    DecompositionProblem,
     FeasibilityError,
     NecessaryConditionError,
     SolverOptions,
     busch_criterion,
     busch_value,
     conjugate_is_b_channel,
-    decompose_psd,
     find_joint_observable,
     is_a_channel,
     orthogonal_joint_observable,
     recover_b_prime,
     witness_povm,
 )
-from seqmeas.linalg import frob, partial_trace
 from seqmeas.povm import (
     AXIS_X,
     AXIS_Y,
@@ -125,51 +122,6 @@ def test_orthogonal_joint_rejects_excess_strength():
         orthogonal_joint_observable(0.8, 0.8)
 
 
-# ---------------------------------------------------------- decompositions
-
-
-def test_decompose_luders_choi_into_outcome_parts():
-    lam = luders(A08)
-    total = choi(KrausChannel(2, 2, lam.kraus, None)).matrix
-    targets = tuple((lbl, eff.T) for lbl, eff in A08.outcomes)
-    out = decompose_psd(DecompositionProblem(total, targets, (2, 2)))
-    assert out.status == FEASIBLE
-    assert out.residual <= 1e-8
-    assert out.iterations < 200
-    # the witness really is a decomposition
-    acc = np.zeros((4, 4), dtype=complex)
-    for part, (_, tgt) in zip(out.witness, targets):
-        assert np.linalg.eigvalsh(part)[0] >= -1e-10
-        assert frob(partial_trace(part, 2, 2, "first") - tgt) <= 1e-7
-        acc += part
-    assert frob(acc - total) <= 1e-7
-
-
-def test_decompose_single_target_returns_the_total():
-    total = choi(KrausChannel(2, 2, luders(A08).kraus, None)).matrix
-    tgt = partial_trace(total, 2, 2, "first")
-    out = decompose_psd(DecompositionProblem(total, (((0,), tgt),), (2, 2)))
-    assert out.status == FEASIBLE
-    assert out.iterations == 1
-    assert frob(out.witness[0] - total) <= 1e-12
-
-
-def test_decompose_rejects_inconsistent_targets():
-    with pytest.raises(NecessaryConditionError, match="sum"):
-        DecompositionProblem(
-            np.eye(4, dtype=complex),
-            (((0,), 0.7 * np.eye(2, dtype=complex)),),
-            (2, 2),
-        )
-
-
-def test_decompose_rejects_indefinite_total():
-    total = np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex)
-    tgt = np.diag([2.0, 0.5]).astype(complex)
-    with pytest.raises(NecessaryConditionError, match="positive"):
-        decompose_psd(DecompositionProblem(total, (((0,), tgt),), (2, 2)))
-
-
 # ----------------------------------------------------------- channel tests
 
 
@@ -185,6 +137,28 @@ def test_unpartitioned_luders_channel_needs_the_solver():
     out = is_a_channel(bare, A08)
     assert out.status == FEASIBLE
     assert 0 < out.iterations < 200
+
+
+def test_channel_witness_is_an_observable_on_the_environment():
+    bare = KrausChannel(2, 2, luders(A08).kraus, None)
+    out = is_a_channel(bare, A08)
+    env = conjugate(bare)
+    w = witness_povm(out)
+    assert w.dim == env.dim_out
+    assert validate(w, tol=1e-7)
+    for lbl, eff in A08.outcomes:
+        assert np.linalg.norm(heisenberg_apply(env, w.effect(lbl)) - eff) <= 1e-7
+
+
+def test_partitioned_witness_marks_the_branches():
+    out = is_a_channel(luders(A08), A08)
+    assert [np.diag(f).real.tolist() for f in out.witness] == [[1, 0], [0, 1]]
+
+
+def test_channel_test_rejects_a_lossy_channel():
+    lossy = KrausChannel(2, 2, (0.5 * np.eye(2, dtype=complex),), None)
+    with pytest.raises(NecessaryConditionError, match="sum"):
+        is_a_channel(lossy, A08)
 
 
 def test_identity_channel_cannot_carry_an_unsharp_observable():
@@ -231,6 +205,19 @@ def test_luders_conjugate_rejects_the_refinement():
 def test_any_conjugate_admits_the_trivial_observable():
     out = conjugate_is_b_channel(luders(A08), trivial(2))
     assert out.status == FEASIBLE
+
+
+@pytest.mark.parametrize(
+    "axis", [AXIS_X, tilted_axis(math.pi / 6)], ids=["x", "tilted"]
+)
+def test_luders_conjugate_reaches_a_transverse_target(axis):
+    # the transverse part of either target is at most 0.5 < sqrt(1 - 0.8**2),
+    # so the later observable exists
+    lam = luders(A08)
+    b = qubit_binary(0.5, axis)
+    out = conjugate_is_b_channel(lam, b)
+    assert out.status == FEASIBLE
+    assert verify_sequential(lam, witness_povm(out), b, tol=1e-6)
 
 
 def test_universal_conjugate_admits_the_refinement():
@@ -424,8 +411,7 @@ def test_outcome_bookkeeping_on_a_feasible_run():
 
 
 def test_budget_exhaustion_is_reported_as_undecided():
-    bare = KrausChannel(2, 2, luders(A08).kraus, None)
-    out = is_a_channel(bare, A08, opts=SolverOptions(max_iters=5))
+    out = find_joint_observable(A08, B07, opts=SolverOptions(max_iters=5))
     assert out.status == UNDECIDED
     assert not out.feasible
     assert out.witness is None
@@ -449,15 +435,39 @@ def test_default_options():
 
 @pytest.mark.parametrize("strength,axis", [(0.6, AXIS_X), (0.9, AXIS_Y)])
 def test_recovery_agrees_with_the_conjugate_test(strength, axis):
+    # a transverse target is reachable after the Luders channel exactly
+    # when strength**2 + 0.8**2 <= 1
+    reachable = strength**2 + 0.8**2 <= 1 + 1e-12
     lam = luders(A08)
     b = qubit_binary(strength, axis)
     pre = conjugate_is_b_channel(lam, b)
-    if pre.status == FEASIBLE:
+    assert pre.status == (FEASIBLE if reachable else INFEASIBLE)
+    if reachable:
         got = recover_b_prime(lam, b)
         assert verify_sequential(lam, got, b, tol=1e-6)
     else:
         with pytest.raises(FeasibilityError):
             recover_b_prime(lam, b)
+
+
+@pytest.mark.parametrize("draw", [4, 16, 60])
+def test_recovery_after_a_rank_one_joint(draw):
+    # Wishart joint effects with one column each, as in the benchmark's
+    # rank-one stream; these draws leave roundoff-level eigenvalues in the
+    # Gram matrix of the dual map, which its pseudo-inverse must drop
+    rng = np.random.default_rng(20140217)
+    for _ in range(draw):
+        g = rng.normal(size=(4, 4, 1)) + 1j * rng.normal(size=(4, 4, 1))
+        blocks = g @ np.conj(np.swapaxes(g, 1, 2))
+        w, v = np.linalg.eigh(blocks.sum(axis=0))
+        isq = (v * w**-0.5) @ np.conj(v.T)
+        m = isq @ blocks @ isq
+        m = ((m + np.conj(np.swapaxes(m, 1, 2))) / 2).reshape(2, 2, 4, 4)
+    a = Povm(4, tuple(((x,), m[x].sum(axis=0)) for x in range(2)))
+    b = Povm(4, tuple(((y,), m[:, y].sum(axis=0)) for y in range(2)))
+    uni = universal_channel(a)
+    got = recover_b_prime(uni, b)
+    assert verify_sequential(uni, got, b, tol=1e-6)
 
 
 def test_conjugate_of_the_universal_channel_reaches_the_first_marginal():

@@ -148,6 +148,14 @@ def test_outcome_json_carries_witness_only_when_feasible():
     json.dumps(good), json.dumps(bad)
 
 
+def test_outcome_json_carries_the_floor_only_when_infeasible():
+    good = find_joint_observable(A08, qubit_binary(0.6, AXIS_X))
+    bad = find_joint_observable(A08, qubit_binary(0.7, AXIS_X))
+    assert "infeasibility_floor" not in outcome_to_json(good)
+    doc = json.loads(json.dumps(outcome_to_json(bad)))
+    assert doc["infeasibility_floor"] == bad.infeasibility_floor >= 1e-2
+
+
 def test_scheme_bundle_parses_back():
     joint = find_joint_observable(A08, qubit_binary(0.6, AXIS_X))
     from seqmeas.feasibility import witness_povm
