@@ -7,9 +7,8 @@ rho -> sum_{i in branch x} K_i rho K_i^dag, and the branch traces define the
 observable the instrument measures.
 
 Choi matrices use the output factor first, built from row-major vec, so the
-partial trace of a branch's Choi part over the output factor equals the
-transpose of that branch's trace observable.  This is the one place the
-transpose convention lives; consumers transpose their targets accordingly.
+partial trace of a Choi matrix over the output factor equals the transpose of
+sum_k K_k^dag K_k.  This is the one place the transpose convention lives.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "heisenberg_branch",
     "branch_observable",
     "choi",
-    "choi_parts",
     "luders",
     "classical_channel",
     "stinespring",
@@ -137,13 +135,21 @@ def _check_state(c: KrausChannel, state: np.ndarray) -> np.ndarray:
     return state
 
 
+def _kraus_sum(
+    c: KrausChannel, ops: Sequence[np.ndarray], t: np.ndarray, dual: bool = False
+) -> np.ndarray:
+    """sum_k K t K^dag over the given Kraus operators of `c`, or sum_k K^dag t K
+    when `dual`."""
+    n = c.dim_in if dual else c.dim_out
+    out = np.zeros((n, n), dtype=np.complex128)
+    for k in ops:
+        out += dagger(k) @ t @ k if dual else k @ t @ dagger(k)
+    return out
+
+
 def apply(c: KrausChannel, state: np.ndarray) -> np.ndarray:
     """Schroedinger action on a density matrix."""
-    state = _check_state(c, state)
-    out = np.zeros((c.dim_out, c.dim_out), dtype=np.complex128)
-    for k in c.kraus:
-        out += k @ state @ dagger(k)
-    return out
+    return _kraus_sum(c, c.kraus, _check_state(c, state))
 
 
 def heisenberg_apply(c: KrausChannel, t: np.ndarray) -> np.ndarray:
@@ -153,10 +159,7 @@ def heisenberg_apply(c: KrausChannel, t: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"operator shape {t.shape} does not match dim_out {c.dim_out}"
         )
-    out = np.zeros((c.dim_in, c.dim_in), dtype=np.complex128)
-    for k in c.kraus:
-        out += dagger(k) @ t @ k
-    return out
+    return _kraus_sum(c, c.kraus, t, dual=True)
 
 
 def _branch(c: KrausChannel, label) -> tuple[np.ndarray, ...]:
@@ -170,19 +173,11 @@ def _branch(c: KrausChannel, label) -> tuple[np.ndarray, ...]:
 
 def apply_branch(c: KrausChannel, label, state: np.ndarray) -> np.ndarray:
     """Unnormalized post-measurement output of a single branch."""
-    state = _check_state(c, state)
-    out = np.zeros((c.dim_out, c.dim_out), dtype=np.complex128)
-    for k in _branch(c, label):
-        out += k @ state @ dagger(k)
-    return out
+    return _kraus_sum(c, _branch(c, label), _check_state(c, state))
 
 
 def heisenberg_branch(c: KrausChannel, label, t: np.ndarray) -> np.ndarray:
-    t = as_complex(t)
-    out = np.zeros((c.dim_in, c.dim_in), dtype=np.complex128)
-    for k in _branch(c, label):
-        out += dagger(k) @ t @ k
-    return out
+    return _kraus_sum(c, _branch(c, label), as_complex(t), dual=True)
 
 
 def branch_observable(c: KrausChannel) -> Povm:
@@ -206,21 +201,6 @@ def choi(c: KrausChannel) -> ChoiMatrix:
         v = _vec(k)
         m += np.outer(v, v.conj())
     return ChoiMatrix(m, c.dim_in, c.dim_out)
-
-
-def choi_parts(c: KrausChannel) -> dict[Label, np.ndarray]:
-    """Choi matrices of the branches of a partitioned channel."""
-    if c.partition is None:
-        raise ValueError("channel carries no branch partition")
-    parts = {}
-    for lbl, idx in c.partition.items():
-        n = c.dim_out * c.dim_in
-        m = np.zeros((n, n), dtype=np.complex128)
-        for i in idx:
-            v = _vec(c.kraus[i])
-            m += np.outer(v, v.conj())
-        parts[lbl] = m
-    return parts
 
 
 def luders(a: Povm, tol: float = DEFAULT.psd) -> KrausChannel:

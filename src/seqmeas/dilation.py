@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT, as_complex, dagger, frob, range_isometry, sqrt_psd
+from .linalg import DEFAULT, RANK_RCOND, as_complex, dagger, frob, range_isometry, sqrt_psd
 from .povm import Povm, is_sharp, validate
 
 __all__ = [
@@ -28,9 +28,6 @@ __all__ = [
     "is_minimal",
     "connecting_isometry",
 ]
-
-# relative cutoff for pseudo-inverses and rank decisions on spanning sets
-SPAN_RANK_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +148,10 @@ def connecting_isometry(
     s = _spanning_matrix(first)
     t = _spanning_matrix(second)
     sv = np.linalg.svd(s, compute_uv=False)
-    if len(sv) < first.dim_k or sv[first.dim_k - 1] <= SPAN_RANK_CUTOFF * sv[0]:
+    if len(sv) < first.dim_k or sv[first.dim_k - 1] <= RANK_RCOND * sv[0]:
         raise ValueError("first dilation is not minimal: spanning set is rank deficient")
     gram = s @ dagger(s)
-    j = t @ dagger(s) @ np.linalg.pinv(gram, rcond=SPAN_RANK_CUTOFF, hermitian=True)
+    j = t @ dagger(s) @ np.linalg.pinv(gram, rcond=RANK_RCOND, hermitian=True)
     if frob(j @ s - t) > tol:
         raise ValueError("connecting solve failed: spanning residual above tolerance")
     # J maps spanning vectors to spanning vectors by construction, so the

@@ -1,31 +1,39 @@
 """Convex feasibility engine for measurement compatibility questions.
 
-Every decision here is a search for an observable, a family of positive
-semidefinite blocks, under linear constraints of one of two kinds:
+Every decision here is one kind of search: positive semidefinite blocks
+on a product grid whose sums over some grid axes, read through a
+channel's dual X -> sum_k K^dag X K (or through nothing), equal fixed
+targets.  Each such family of constraints is one affine set,
+`_Marginals`, and every question is a list of families:
 
-* fixed marginals: the joint observable of two or three given ones
-  (`find_joint_observable`);
-* a Heisenberg preimage: an observable F on a channel's output whose
-  dual images c*(F_y) are fixed effects B_y.  Asked of the channel it
-  decides whether some later observable reproduces B
-  (`conjugate_is_b_channel`, `recover_b_prime`); asked of the
-  conjugate channel it decides whether the channel splits into
+* the joint observable of two or three given ones
+  (`find_joint_observable`): one family per observable, keeping its own
+  grid axis;
+* a Heisenberg preimage, an observable F on a channel's output whose
+  dual images c*(F_y) are fixed effects B_y: the blocks sum to the
+  identity, and each block maps to its target through the channel.
+  Asked of the channel it decides whether some later observable
+  reproduces B (`conjugate_is_b_channel`, `recover_b_prime`); asked of
+  the conjugate channel it decides whether the channel splits into
   branches measuring B (`is_a_channel`), because those branches are
   exactly the observables on the Stinespring environment.
 
 The solver is Dykstra's alternating projection method, which converges
-to a point of the intersection whenever one exists.  It carries no
-separating certificate, so infeasibility is heuristic: when the
-residual stalls far above tolerance the run is declared infeasible and
-the stalled residual is reported as a floor.  An honest "undecided" is
-a possible answer.
+to a point of the intersection whenever one exists.  Only the cone
+projection carries a Dykstra correction: on an affine set or a subspace
+the correction is normal to the set, so the next projection onto it
+discards it.  The method carries no separating certificate, so
+infeasibility is heuristic: when the residual stalls far above
+tolerance the run is declared infeasible and the stalled residual is
+reported as a floor.  An honest "undecided" is a possible answer.
 
-Rank-deficient constraint data pins every solution to a face of the
-cone, where plain alternating projections slow to a crawl.  Each solve
-therefore also projects onto the support subspaces that the constraints
-force on the blocks.  These are necessary conditions computed from the
-inputs alone, so they never change the set being searched; they only
-keep the iteration away from the tangent directions.
+Rank-deficient targets pin every solution to a face of the cone, where
+plain alternating projections slow to a crawl.  A block read through a
+family's map sits below each target it sums into, so it must vanish on
+the Kraus image of that target's kernel; each solve projects onto these
+supports too.  They are necessary conditions computed from the inputs
+alone, so they never change the set being searched; they only keep the
+iteration away from the tangent directions.
 
 The cone projection runs last in every sweep, so each logged iterate is
 exactly positive and the residual is purely the affine defect; support
@@ -42,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, conjugate, heisenberg_apply
-from .linalg import as_complex, dagger, frob
+from .linalg import DEFAULT, RANK_RCOND, dagger, frob
 from .povm import SIGMA_X, SIGMA_Z, Label, Povm
 
 __all__ = [
@@ -70,9 +78,6 @@ UNDECIDED = "undecided"
 
 # cheap necessary conditions are checked to this absolute scale
 NECESSARY_TOL = 1e-7
-# singular values below this fraction of the largest count as zero when
-# a span or a pseudo-inverse is formed
-RANK_RCOND = 1e-10
 
 
 class NecessaryConditionError(ValueError):
@@ -155,69 +160,68 @@ def _project_psd(blocks: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-class _SumToTotal:
-    """Affine set: the blocks sum to a fixed matrix."""
+class _Marginals:
+    """Affine set: the block sums over the grid axes outside `keep`, read
+    through X -> sum_k K^dag X K (the identity when `kraus` is None),
+    equal `targets`, one per cell of the kept axes in row-major order.
+    """
 
-    def __init__(self, total: np.ndarray, count: int):
-        self.total = total
-        self.count = count
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return x + (self.total - x.sum(axis=0)) / self.count
-
-    def violation(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(x.sum(axis=0) - self.total))
-
-
-class _MarginalFamily:
-    """Affine set: one coordinate's marginal of a product-labeled grid is fixed."""
-
-    def __init__(self, grid: tuple[int, ...], axis: int, targets: np.ndarray):
+    def __init__(
+        self,
+        grid: tuple[int, ...],
+        keep: tuple[int, ...],
+        targets: Sequence[np.ndarray],
+        kraus: Sequence[np.ndarray] | None = None,
+    ):
         self.grid = grid
-        self.axis = axis
-        self.targets = targets
-        self.sum_axes = tuple(i for i in range(len(grid)) if i != axis)
+        self.keep = keep
+        self.kraus = kraus
+        self.sum_axes = tuple(i for i in range(len(grid)) if i not in keep)
         self.scale = math.prod(grid[i] for i in self.sum_axes)
-        lift = [1] * len(grid)
-        lift[axis] = grid[axis]
-        self.lift_shape = tuple(lift) + targets.shape[1:]
+        self.lift = tuple(n if i in keep else 1 for i, n in enumerate(grid))
+        self.targets = np.asarray(targets, dtype=complex)
+        self.flat_targets = self.targets.reshape(len(self.targets), -1)
+        self.smat = None
+        if kraus is not None:
+            k = np.stack(kraus)
+            n_k, d_out, d_in = k.shape
+            # row-major vec(K^dag X K) = kron(K^dag, K^T) vec(X), summed over K
+            kt = np.conj(k).transpose(2, 1, 0).reshape(d_in * d_out, n_k)
+            smat = kt @ k.transpose(0, 2, 1).reshape(n_k, d_in * d_out)
+            smat = smat.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
+            self.smat = smat.reshape(d_in * d_in, d_out * d_out)
+            # smat smat^dag is X -> sum_kl G X G^dag over G = K_k^dag K_l
+            g = (np.conj(np.swapaxes(k, 1, 2))[:, None] @ k).reshape(-1, d_in * d_in)
+            gram = (g.T @ g.conj()).reshape(d_in, d_in, d_in, d_in)
+            gram = gram.transpose(0, 2, 1, 3).reshape(d_in * d_in, d_in * d_in)
+            # the Gram matrix is PSD, so its pseudo-inverse comes from eigh
+            w, v = np.linalg.eigh(gram)
+            big = w > RANK_RCOND * w[-1]
+            self.ginv = (v[:, big] / w[big]) @ dagger(v[:, big])
 
-    def _marginal(self, x: np.ndarray) -> np.ndarray:
-        g = x.reshape(self.grid + x.shape[1:])
-        return g.sum(axis=self.sum_axes)
+    def _defect(self, x: np.ndarray) -> np.ndarray:
+        g = x.reshape(self.grid + (-1,)).sum(axis=self.sum_axes)
+        flat = g.reshape(len(self.targets), -1)
+        if self.smat is not None:
+            flat = flat @ self.smat.T
+        return self.flat_targets - flat
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        defect = (self.targets - self._marginal(x)) / self.scale
-        g = x.reshape(self.grid + x.shape[1:]) + defect.reshape(self.lift_shape)
+        step = self._defect(x)
+        if self.smat is not None:
+            step = step @ self.ginv.T @ self.smat.conj()
+        g = x.reshape(self.grid + (-1,)) + (step / self.scale).reshape(self.lift + (-1,))
         return g.reshape(x.shape)
 
     def violation(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self._marginal(x) - self.targets))
+        return float(np.linalg.norm(self._defect(x)))
 
 
-class _SupportPin:
-    """Subspace set: each block is compressed onto a fixed support.
-
-    Used for necessary support conditions, so it does not count toward
-    the feasibility residual.
-    """
-
-    scored = False
-
-    def __init__(self, projectors: np.ndarray):
-        self.projectors = projectors
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("nab,nbc,ncd->nad", self.projectors, x, self.projectors)
-
-    def violation(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(x - self.project(x)))
-
-
-def _kernel_cols(m: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the (toleranced) kernel of a Hermitian matrix."""
-    w, v = np.linalg.eigh((m + dagger(m)) / 2)
-    return v[:, np.abs(w) <= rank_tol * max(1.0, float(np.abs(w).max(initial=0.0)))]
+def _kernel_cols(ms: np.ndarray, rank_tol: float = DEFAULT.rank) -> list[np.ndarray]:
+    """Orthonormal bases of the (toleranced) kernels of stacked Hermitian matrices."""
+    w, v = np.linalg.eigh((ms + np.conj(np.swapaxes(ms, -1, -2))) / 2)
+    cut = rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1))
+    return [vi[:, np.abs(wi) <= ci] for wi, vi, ci in zip(w, v, cut)]
 
 
 def _complement_projector(cols: np.ndarray, dim: int) -> np.ndarray:
@@ -229,53 +233,53 @@ def _complement_projector(cols: np.ndarray, dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) - u @ dagger(u)
 
 
-class _HeisenbergImages:
-    """Affine set: each block maps to a fixed matrix under the channel's dual."""
+def _support_pins(sets: Sequence[_Marginals], dim: int) -> np.ndarray | None:
+    """Projectors onto the supports the constraints force on each block.
 
-    def __init__(self, kraus: Sequence[np.ndarray], rhs: Sequence[np.ndarray]):
-        k = np.stack(kraus)
-        d_out, d_in = k.shape[1:]
-        # row-major vec(K^dag F K) = kron(K^dag, K^T) vec(F), summed over K
-        smat = np.einsum("kai,kbj->ijab", k.conj(), k, optimize=True)
-        self.smat = smat.reshape(d_in * d_in, d_out * d_out)
-        # smat smat^dag is X -> sum_kl G X G^dag over G = K_k^dag K_l
-        g = (np.conj(np.swapaxes(k, 1, 2))[:, None] @ k).reshape(-1, d_in, d_in)
-        gram = np.einsum("gac,gbd->abcd", g, g.conj()).reshape(d_in * d_in, d_in * d_in)
-        self.ginv = np.linalg.pinv(gram, rcond=RANK_RCOND, hermitian=True)
-        self.rhs = np.stack([as_complex(m).reshape(-1) for m in rhs])
-
-    def _images(self, flat: np.ndarray) -> np.ndarray:
-        return flat @ self.smat.T
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        flat = x.reshape(x.shape[0], -1)
-        defect = self._images(flat) - self.rhs
-        return (flat - defect @ self.ginv.T @ self.smat.conj()).reshape(x.shape)
-
-    def violation(self, x: np.ndarray) -> float:
-        flat = x.reshape(x.shape[0], -1)
-        return float(np.linalg.norm(self._images(flat) - self.rhs))
+    Every block, read through a family's map, sits below each target it
+    sums into, so it must vanish on the Kraus image of that target's
+    kernel.  None when no block is pinned.
+    """
+    kernels = [_kernel_cols(s.targets) for s in sets]
+    if not any(v.shape[1] for kerns in kernels for v in kerns):
+        return None
+    images = [
+        kerns if s.kraus is None else [np.hstack([k @ v for k in s.kraus]) for v in kerns]
+        for s, kerns in zip(sets, kernels)
+    ]
+    grid = sets[0].grid
+    pins = []
+    for cell in itertools.product(*(range(n) for n in grid)):
+        cols = []
+        for s, kerns in zip(sets, images):
+            pos = 0
+            for i in s.keep:
+                pos = pos * grid[i] + cell[i]
+            cols.append(kerns[pos])
+        pins.append(_complement_projector(np.hstack(cols), dim))
+    return np.stack(pins)
 
 
 # --- solver ---------------------------------------------------------------
 
-def _run_dykstra(x0: np.ndarray, affine_sets, opts: SolverOptions):
+def _run_dykstra(x0: np.ndarray, pins, sets, opts: SolverOptions):
+    # on a subspace or an affine set the Dykstra correction is normal to
+    # the set and so lost in the next projection; only the cone needs one
     x = np.array(x0, dtype=complex)
-    corrections = [np.zeros_like(x) for _ in range(len(affine_sets) + 1)]
-    scored = [s for s in affine_sets if getattr(s, "scored", True)]
+    correction = np.zeros_like(x)
     best = math.inf
     best_x = x.copy()
     history: list[float] = []
     stall = 0
     for sweep in range(1, opts.max_iters + 1):
-        for i, cset in enumerate(affine_sets):
-            shifted = x + corrections[i]
-            x = cset.project(shifted)
-            corrections[i] = shifted - x
-        shifted = x + corrections[-1]
+        if pins is not None:
+            x = np.einsum("nab,nbc,ncd->nad", pins, x, pins)
+        for cset in sets:
+            x = cset.project(x)
+        shifted = x + correction
         x = _project_psd(shifted)
-        corrections[-1] = shifted - x
-        res = math.sqrt(sum(cset.violation(x) ** 2 for cset in scored))
+        correction = shifted - x
+        res = math.sqrt(sum(cset.violation(x) ** 2 for cset in sets))
         if res < best - opts.stall_delta:
             stall = 0
         else:
@@ -291,7 +295,15 @@ def _run_dykstra(x0: np.ndarray, affine_sets, opts: SolverOptions):
     return UNDECIDED, best_x, best, opts.max_iters, history
 
 
-def _outcome(status, x, res, iters, history, labels=None) -> FeasibilityOutcome:
+def _solve(
+    grid: tuple[int, ...], dim: int, families, opts: SolverOptions, labels
+) -> FeasibilityOutcome:
+    """Search for PSD `dim`-blocks on `grid` meeting every `(keep, targets,
+    kraus)` family of marginal constraints (see `_Marginals`)."""
+    sets = [_Marginals(grid, *family) for family in families]
+    pins = _support_pins(sets, dim)
+    x0 = np.zeros((math.prod(grid), dim, dim), dtype=complex)
+    status, x, res, iters, history = _run_dykstra(x0, pins, sets, opts)
     return FeasibilityOutcome(
         status=status,
         residual=res,
@@ -319,27 +331,8 @@ def _heisenberg_preimage(
         raise NecessaryConditionError(
             f"effects do not sum to the dual image of the identity (defect {gap:.3e})"
         )
-    x0 = np.zeros((len(b), c.dim_out, c.dim_out), dtype=complex)
-    sets: list = [
-        _SumToTotal(eye, len(b)),
-        _HeisenbergImages(c.kraus, b.effects),
-    ]
-    # each positive branch image sits below its target, so the solution
-    # must kill every Kraus image of the target's kernel
-    pins = []
-    pinned = False
-    for eff in b.effects:
-        kern = _kernel_cols(eff)
-        if kern.shape[1]:
-            pinned = True
-            span = np.hstack([k @ kern for k in c.kraus])
-            pins.append(_complement_projector(span, c.dim_out))
-        else:
-            pins.append(eye)
-    if pinned:
-        sets.insert(0, _SupportPin(np.stack(pins)))
-    status, x, res, iters, history = _run_dykstra(x0, sets, opts)
-    return _outcome(status, x, res, iters, history, b.labels)
+    families = [((), [eye], None), ((0,), b.effects, c.kraus)]
+    return _solve((len(b),), c.dim_out, families, opts, b.labels)
 
 
 def is_a_channel(
@@ -438,22 +431,8 @@ def find_joint_observable(
     labels = tuple(
         sum(combo, ()) for combo in itertools.product(*(o.labels for o in observables))
     )
-    x0 = np.zeros((math.prod(grid), dim, dim), dtype=complex)
-    sets: list = [
-        _MarginalFamily(grid, i, np.stack(o.effects))
-        for i, o in enumerate(observables)
-    ]
-    # every joint effect sits below each of its marginal targets, so it
-    # must vanish on the kernel of every effect it marginalises into
-    kerns = [[_kernel_cols(e) for e in o.effects] for o in observables]
-    if any(kb.shape[1] for row in kerns for kb in row):
-        pins = []
-        for combo in itertools.product(*(range(n) for n in grid)):
-            cols = np.hstack([kerns[i][j] for i, j in enumerate(combo)])
-            pins.append(_complement_projector(cols, dim))
-        sets.insert(0, _SupportPin(np.stack(pins)))
-    status, x, res, iters, history = _run_dykstra(x0, sets, opts)
-    return _outcome(status, x, res, iters, history, labels)
+    families = [((i,), o.effects, None) for i, o in enumerate(observables)]
+    return _solve(grid, dim, families, opts, labels)
 
 
 def witness_povm(outcome: FeasibilityOutcome) -> Povm:

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT",
+    "RANK_RCOND",
     "HermitianEigen",
     "as_complex",
     "dagger",
@@ -41,6 +42,10 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
+
+# singular values below this fraction of the largest count as zero when a
+# span or a pseudo-inverse is formed
+RANK_RCOND = 1e-10
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -123,15 +128,16 @@ def herm_eig(m: np.ndarray, tol: float = DEFAULT.hermiticity) -> HermitianEigen:
 def sqrt_psd(m: np.ndarray, tol: float = DEFAULT.psd) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-tol, 0) are treated as exact zeros; anything below -tol
-    raises.
+    Eigenvalues in [-tol, tol] are treated as exact zeros, because the
+    root of roundoff on the kernel is far larger than the roundoff itself
+    (1e-16 would give 1e-8); anything below -tol raises.
     """
     eig = herm_eig(m, tol)
     if eig.eigenvalues[0] < -tol:
         raise ValueError(
             f"matrix is not PSD: smallest eigenvalue {eig.eigenvalues[0]:.3e}"
         )
-    roots = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
+    roots = np.sqrt(np.where(eig.eigenvalues > tol, eig.eigenvalues, 0.0))
     out = (eig.eigenvectors * roots) @ dagger(eig.eigenvectors)
     return (out + dagger(out)) / 2
 

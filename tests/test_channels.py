@@ -12,7 +12,6 @@ from seqmeas.channels import (
     apply_branch,
     branch_observable,
     choi,
-    choi_parts,
     classical_channel,
     conjugate,
     heisenberg_apply,
@@ -191,14 +190,6 @@ def test_choi_reproduces_action():
     assert np.allclose(
         partial_trace(lifted, 3, 2, "second"), apply(c, rho), atol=1e-12
     )
-
-
-def test_choi_parts_trace_to_transposed_effects():
-    a = qubit_binary(0.8, theta_axis(math.pi / 3))
-    parts = choi_parts(luders(a))
-    for lbl, eff in a.outcomes:
-        reduced = partial_trace(parts[lbl], 2, 2, "first")
-        assert np.allclose(reduced, eff.T, atol=1e-12)
 
 
 # --- constructors --------------------------------------------------------

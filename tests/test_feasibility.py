@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqmeas.channels import (
     KrausChannel,
@@ -30,6 +32,7 @@ from seqmeas.feasibility import (
     recover_b_prime,
     witness_povm,
 )
+from seqmeas.feasibility import _Marginals
 from seqmeas.povm import (
     AXIS_X,
     AXIS_Y,
@@ -477,3 +480,61 @@ def test_conjugate_of_the_universal_channel_reaches_the_first_marginal():
     assert out.status == FEASIBLE
     got = recover_b_prime(uni, A08)
     assert verify_sequential(uni, got, A08, tol=1e-7)
+
+
+# ------------------------------------------------------- the constraint set
+
+
+@st.composite
+def marginal_problems(draw):
+    """A grid, kept axes, an optional Kraus map and a sampler of grid points."""
+    grid = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    keep = tuple(i for i in range(len(grid)) if draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_in = draw(st.integers(1, 3))
+    kraus = None
+    d_out = d_in
+    if draw(st.booleans()):
+        d_out = draw(st.integers(1, 3))
+        shape = (draw(st.integers(1, 3)), d_out, d_in)
+        u, _, vh = np.linalg.svd(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        # singular values in [0.5, 1] keep the map well conditioned, so
+        # roundoff stays far below the tolerances checked
+        sv = rng.uniform(0.5, 1.0, size=(shape[0], min(d_out, d_in)))
+        kraus = list((u[..., : sv.shape[1]] * sv[:, None]) @ vh[:, : sv.shape[1]])
+
+    def point():
+        shape = (math.prod(grid), d_out, d_out)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return grid, keep, kraus, point
+
+
+def _read(grid, keep, kraus, x):
+    """The kept marginals of x read through the map, one per kept cell."""
+    sums = x.reshape(grid + x.shape[1:]).sum(
+        axis=tuple(i for i in range(len(grid)) if i not in keep)
+    )
+    sums = sums.reshape((-1,) + x.shape[1:])
+    if kraus is None:
+        return sums
+    return sum(np.conj(k.T) @ sums @ k for k in kraus)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(marginal_problems())
+def test_marginals_projection_is_the_orthogonal_projection(problem):
+    grid, keep, kraus, point = problem
+    # targets read off a point of the grid, so the set is never empty
+    targets = _read(grid, keep, kraus, point())
+    cset = _Marginals(grid, keep, list(targets), kraus)
+    x = point()
+    px = cset.project(x)
+    assert np.linalg.norm(_read(grid, keep, kraus, px) - targets) <= 1e-10
+    assert cset.violation(px) <= 1e-10
+    assert np.linalg.norm(cset.project(px) - px) <= 1e-10
+    # x - P(x) is normal to every direction P(z) - P(x) inside the set
+    direction = cset.project(point()) - px
+    normal = x - px
+    scale = max(1.0, np.linalg.norm(normal) * np.linalg.norm(direction))
+    assert abs(np.vdot(normal, direction)) <= 1e-10 * scale

@@ -188,9 +188,10 @@ def test_sqrt_psd_squares_back():
 
 
 def test_sqrt_psd_clips_tiny_negatives():
-    m = np.diag([1.0, -1e-12])
-    r = sqrt_psd(m, tol=1e-9)
-    assert np.allclose(r, np.diag([1.0, 0.0]), atol=1e-6)
+    # roundoff of either sign on the kernel must not grow into its root
+    for tiny in (-1e-12, 1e-17):
+        r = sqrt_psd(np.diag([1.0, tiny]), tol=1e-9)
+        assert np.allclose(r, np.diag([1.0, 0.0]), rtol=0.0, atol=1e-12)
 
 
 def test_sqrt_psd_rejects_indefinite():

@@ -131,6 +131,24 @@ def test_one_channel_serves_two_later_observables():
         assert verify_sequential(lam, bp, target, tol=1e-8)
 
 
+def test_modified_observable_after_a_rank_one_joint():
+    # Wishart joint effects with one column each leave A rank-deficient;
+    # the square roots of its roundoff eigenvalues must not add kernel
+    # directions that the minimal dilation has dropped
+    rng = np.random.default_rng(2)
+    g = rng.normal(size=(4, 4, 1)) + 1j * rng.normal(size=(4, 4, 1))
+    blocks = g @ np.conj(np.swapaxes(g, 1, 2))
+    w, v = np.linalg.eigh(blocks.sum(axis=0))
+    isq = (v * w**-0.5) @ np.conj(v.T)
+    m = isq @ blocks @ isq
+    m = ((m + np.conj(np.swapaxes(m, 1, 2))) / 2).reshape(2, 2, 4, 4)
+    a = Povm(4, tuple(((x,), m[x].sum(axis=0)) for x in range(2)))
+    b = Povm(4, tuple(((y,), m[:, y].sum(axis=0)) for y in range(2)))
+    joint = Povm(4, tuple(((x, y), m[x, y]) for x in range(2) for y in range(2)))
+    bp = modified_observable(a, joint)
+    assert verify_sequential(universal_channel(a), bp, b, tol=1e-8)
+
+
 def test_modified_observable_trivial_second_axis():
     a = qubit_binary(0.8, AXIS_Z)
     joint = Povm(2, tuple(((lbl[0], 0), eff) for lbl, eff in a.outcomes))
