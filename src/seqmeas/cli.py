@@ -31,9 +31,22 @@ from .feasibility import (
     find_joint_observable,
     witness_povm,
 )
-from .harness import CHECK_NAMES, Report, CheckResult, run_checks
+from .harness import A_STRENGTH, B_STRENGTH, CHECK_NAMES, Report, CheckResult, run_checks
 from .linalg import frob, is_psd
-from .povm import SIGMA_X, SIGMA_Y, SIGMA_Z, Povm, bloch_vector, is_sharp, validate
+from .povm import (
+    AXIS_X,
+    AXIS_Z,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    Povm,
+    bloch_vector,
+    four_outcome_refinement,
+    is_sharp,
+    qubit_binary,
+    refinement_joint,
+    validate,
+)
 from .sequential import modified_observable, universal_channel, verify_sequential
 from .serialize import (
     SchemaError,
@@ -359,15 +372,13 @@ def cmd_selftest(args) -> int:
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        from .povm import AXIS_X, AXIS_Z, four_outcome_refinement, qubit_binary, refinement_joint
-
-        a = qubit_binary(0.8, AXIS_Z)
+        a = qubit_binary(A_STRENGTH, AXIS_Z)
         _write_json(str(out_dir / "universal_channel.json"),
                     channel_to_json(universal_channel(a)))
         _write_json(str(out_dir / "modified_refinement.json"),
                     povm_to_json(modified_observable(
-                        a, refinement_joint(four_outcome_refinement(0.8)))))
-        boundary = find_joint_observable(a, qubit_binary(0.6, AXIS_X), opts=opts)
+                        a, refinement_joint(four_outcome_refinement(A_STRENGTH)))))
+        boundary = find_joint_observable(a, qubit_binary(B_STRENGTH, AXIS_X), opts=opts)
         _write_json(str(out_dir / "boundary_witness.json"),
                     povm_to_json(witness_povm(boundary)))
     code = rep.exit_code()

@@ -22,26 +22,40 @@ The solver is Dykstra's alternating projection method, which converges
 to a point of the intersection whenever one exists.  Only the cone
 projection carries a Dykstra correction: on an affine set or a subspace
 the correction is normal to the set, so the next projection onto it
-discards it.  The method carries no separating certificate, so
-infeasibility is heuristic: when the residual stalls far above
-tolerance the run is declared infeasible and the stalled residual is
-reported as a floor.  An honest "undecided" is a possible answer.
+discards it.
 
 Rank-deficient targets pin every solution to a face of the cone, where
 plain alternating projections slow to a crawl.  A block read through a
 family's map sits below each target it sums into, so it must vanish on
-the Kraus image of that target's kernel; each solve projects onto these
-supports too.  They are necessary conditions computed from the inputs
-alone, so they never change the set being searched; they only keep the
-iteration away from the tangent directions.
+the Kraus image of that target's kernel.  The cone step therefore
+projects onto the face {x >= 0, x = P x P} these supports cut out, as
+the PSD projection of P x P.  The supports are necessary conditions
+computed from the inputs alone, so they never change the set being
+searched; they only keep the iteration away from the tangent directions.
+
+An infeasible verdict rests on a Farkas certificate: multipliers y, one
+matrix per constraint, whose dual operator L*y is positive on the face
+while <y, b> < 0, so that no face point x can meet L x = b.  Every affine
+projection hands out its multiplier, and with y minus their sum, L*y is
+the step from the sweep's affine point back to the cone point it started
+from; the part of a target its map cannot reach adds to y with L*y = 0.
+A shift by the identity on the first identity-map family makes L*y
+positive on the face, and -<y, b> / |y| is then a true lower bound on
+the residual over the face.  It counts only above what roundoff and the
+rank tolerance of the supports could explain: the target eigenvalues
+that tolerance sends to zero are out of every face point's reach.
+Certificates are tried at sweeps 1, 2, 4, 8, ..., and a run stops
+infeasible once the bound comes within `infeasible_ratio` of the best
+residual.  A run that stalls without a certificate is undecided.
 
 The cone projection runs last in every sweep, so each logged iterate is
-exactly positive and the residual is purely the affine defect; support
-projections are excluded from the residual.
+exactly positive and on the face, and the residual is purely the affine
+defect.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -50,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, conjugate, heisenberg_apply
-from .linalg import DEFAULT, RANK_RCOND, dagger, frob
+from .linalg import CERTIFICATE_SLACK, DEFAULT, RANK_RCOND, dagger, frob
 from .povm import SIGMA_X, SIGMA_Z, Label, Povm
 
 __all__ = [
@@ -93,10 +107,11 @@ class SolverOptions:
     """Knobs for the alternating-projection solver.
 
     A run stops feasible as soon as the residual reaches `tol`.  It
-    stops infeasible when the best residual has not improved by more
-    than `stall_delta` for `stall_window` consecutive sweeps while
-    still above `infeasible_ratio * tol`.  Otherwise it runs out of
-    `max_iters` and reports undecided.
+    stops infeasible when a Farkas certificate proves a lower bound on
+    the residual of at least the best residual over `infeasible_ratio`.
+    It stops undecided when the best residual has not improved by more
+    than `stall_delta` for `stall_window` consecutive sweeps, or when it
+    runs out of `max_iters`.
     """
 
     tol: float = 1e-8
@@ -113,19 +128,26 @@ DEFAULT_OPTIONS = SolverOptions()
 class FeasibilityOutcome:
     """Result of one solver run.
 
+    `reason` says why the run stopped: "tol" (the residual reached the
+    tolerance), "certificate" (a Farkas certificate verified), "stall"
+    or "budget" (neither, after the stall window or `max_iters`).
     `witness` is populated only for feasible outcomes, in which case the
     blocks are exactly positive and meet every affine constraint within
-    `residual`.  `infeasibility_floor` is the stalled residual backing a
-    heuristic infeasible verdict.  `residual_history` records the best
-    residual seen up to each sweep and is non-increasing.
+    `residual`, the best residual seen.  Infeasible outcomes carry the
+    `certificate`, one multiplier array per constraint family shaped like
+    its targets, and `infeasibility_floor`, the lower bound it proves on
+    the residual of any point of the face.  `residual_history` records
+    the best residual seen up to each sweep and is non-increasing.
     """
 
     status: str
     residual: float
     iterations: int
+    reason: str
     witness: tuple[np.ndarray, ...] | None = None
     witness_labels: tuple[Label, ...] | None = None
     infeasibility_floor: float | None = None
+    certificate: tuple[np.ndarray, ...] | None = None
     residual_history: tuple[float, ...] = ()
 
     @property
@@ -182,9 +204,11 @@ class _Marginals:
         self.targets = np.asarray(targets, dtype=complex)
         self.flat_targets = self.targets.reshape(len(self.targets), -1)
         self.smat = None
+        self.lifted = self.lift + self.targets.shape[1:]
         if kraus is not None:
             k = np.stack(kraus)
             n_k, d_out, d_in = k.shape
+            self.lifted = self.lift + (d_out, d_out)
             # row-major vec(K^dag X K) = kron(K^dag, K^T) vec(X), summed over K
             kt = np.conj(k).transpose(2, 1, 0).reshape(d_in * d_out, n_k)
             smat = kt @ k.transpose(0, 2, 1).reshape(n_k, d_in * d_out)
@@ -198,6 +222,15 @@ class _Marginals:
             w, v = np.linalg.eigh(gram)
             big = w > RANK_RCOND * w[-1]
             self.ginv = (v[:, big] / w[big]) @ dagger(v[:, big])
+            self.span = v[:, big]
+
+    @functools.cached_property
+    def off_range(self) -> np.ndarray | float:
+        """The part of the targets outside the range of the map, which no
+        blocks reach (zero without a map); only certificates need it."""
+        if self.smat is None:
+            return 0.0
+        return self.flat_targets - (self.flat_targets @ self.span.conj()) @ self.span.T
 
     def _defect(self, x: np.ndarray) -> np.ndarray:
         g = x.reshape(self.grid + (-1,)).sum(axis=self.sum_axes)
@@ -206,12 +239,21 @@ class _Marginals:
             flat = flat @ self.smat.T
         return self.flat_targets - flat
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        step = self._defect(x)
+    def project(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The projection of x, and the multiplier z (one flattened matrix
+        per target) with project(x) = x + adjoint(z)."""
+        z = self._defect(x) / self.scale
         if self.smat is not None:
-            step = step @ self.ginv.T @ self.smat.conj()
-        g = x.reshape(self.grid + (-1,)) + (step / self.scale).reshape(self.lift + (-1,))
-        return g.reshape(x.shape)
+            z = z @ self.ginv.T
+        g = x.reshape(self.grid + x.shape[1:]) + self.adjoint(z)
+        return g.reshape(x.shape), z
+
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        """L*z: each target's multiplier read back through Y -> sum_k K Y K^dag,
+        on the grid with the summed axes of length one, so that it
+        broadcasts onto every block that sums into the target."""
+        step = z if self.smat is None else z @ self.smat.conj()
+        return step.reshape(self.lifted)
 
     def violation(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self._defect(x)))
@@ -233,16 +275,28 @@ def _complement_projector(cols: np.ndarray, dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) - u @ dagger(u)
 
 
-def _support_pins(sets: Sequence[_Marginals], dim: int) -> np.ndarray | None:
+def _support_pins(sets: Sequence[_Marginals], dim: int) -> tuple[np.ndarray | None, float]:
     """Projectors onto the supports the constraints force on each block.
 
     Every block, read through a family's map, sits below each target it
     sums into, so it must vanish on the Kraus image of that target's
-    kernel.  None when no block is pinned.
+    kernel.  The projectors are None when no block is pinned.  Also
+    returns the norm of the target eigenvalues the rank tolerance counts
+    as kernel: no point of the face reaches that part of the targets.
     """
-    kernels = [_kernel_cols(s.targets) for s in sets]
+    if len({s.targets.shape[1:] for s in sets}) == 1:
+        # one eigh call for every target
+        flat = iter(_kernel_cols(np.concatenate([s.targets for s in sets])))
+        kernels = [[next(flat) for _ in s.targets] for s in sets]
+    else:
+        kernels = [_kernel_cols(s.targets) for s in sets]
     if not any(v.shape[1] for kerns in kernels for v in kerns):
-        return None
+        return None, 0.0
+    # |T V| over a kernel basis V of T is the norm of the eigenvalues cut
+    unreached = math.hypot(*(
+        np.linalg.norm(t @ v) for s, kerns in zip(sets, kernels)
+        for t, v in zip(s.targets, kerns)
+    ))
     images = [
         kerns if s.kraus is None else [np.hstack([k @ v for k in s.kraus]) for v in kerns]
         for s, kerns in zip(sets, kernels)
@@ -257,14 +311,48 @@ def _support_pins(sets: Sequence[_Marginals], dim: int) -> np.ndarray | None:
                 pos = pos * grid[i] + cell[i]
             cols.append(kerns[pos])
         pins.append(_complement_projector(np.hstack(cols), dim))
-    return np.stack(pins)
+    return np.stack(pins), unreached
 
 
 # --- solver ---------------------------------------------------------------
 
-def _run_dykstra(x0: np.ndarray, pins, sets, opts: SolverOptions):
+def _pin(pins: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """P x P for every block; one einsum beats two stacked matmuls on small blocks."""
+    return np.einsum("nab,nbc,ncd->nad", pins, blocks, pins)
+
+
+def _certify(sets, zs, pins, unreached: float):
+    """A Farkas certificate from one sweep's multipliers, or None.
+
+    Returns the multipliers y, one flattened matrix per target of each
+    set, and the lower bound -<y, b> / |y| they prove on the residual of
+    every point of the face.  The bound must exceed both the roundoff
+    allowance and `unreached`, the part of the targets the face misses
+    only because of the rank tolerance.
+    """
+    ys = [-z - cset.off_range for cset, z in zip(sets, zs)]
+    dual = sum(cset.adjoint(y) for cset, y in zip(sets, ys))
+    dual = dual.reshape((-1,) + dual.shape[-2:])
+    if pins is not None:
+        dual = _pin(pins, dual)
+    low = float(np.linalg.eigvalsh(dual)[:, 0].min())
+    if low < 0.0:
+        # the first identity-map family reaches every block once, so
+        # raising its multipliers by |low| I raises L*y by |low| I
+        first = next(i for i, cset in enumerate(sets) if cset.kraus is None)
+        side = sets[first].targets.shape[-1]
+        ys[first][:, :: side + 1] -= low
+    gap = -sum(np.vdot(y, cset.flat_targets).real for cset, y in zip(sets, ys))
+    norm = math.sqrt(sum(np.vdot(y, y).real for y in ys))
+    scale = math.sqrt(sum(np.vdot(c.flat_targets, c.flat_targets).real for c in sets))
+    if not gap > norm * max(CERTIFICATE_SLACK * scale, unreached):
+        return None
+    return ys, gap / norm
+
+
+def _run_dykstra(x0: np.ndarray, pins, unreached: float, sets, opts: SolverOptions):
     # on a subspace or an affine set the Dykstra correction is normal to
-    # the set and so lost in the next projection; only the cone needs one
+    # the set and so lost in the next projection; only the face needs one
     x = np.array(x0, dtype=complex)
     correction = np.zeros_like(x)
     best = math.inf
@@ -272,12 +360,12 @@ def _run_dykstra(x0: np.ndarray, pins, sets, opts: SolverOptions):
     history: list[float] = []
     stall = 0
     for sweep in range(1, opts.max_iters + 1):
-        if pins is not None:
-            x = np.einsum("nab,nbc,ncd->nad", pins, x, pins)
+        zs = []
         for cset in sets:
-            x = cset.project(x)
+            x, z = cset.project(x)
+            zs.append(z)
         shifted = x + correction
-        x = _project_psd(shifted)
+        x = _project_psd(shifted if pins is None else _pin(pins, shifted))
         correction = shifted - x
         res = math.sqrt(sum(cset.violation(x) ** 2 for cset in sets))
         if res < best - opts.stall_delta:
@@ -289,10 +377,14 @@ def _run_dykstra(x0: np.ndarray, pins, sets, opts: SolverOptions):
             best_x = x.copy()
         history.append(best)
         if best <= opts.tol:
-            return FEASIBLE, best_x, best, sweep, history
-        if stall >= opts.stall_window and best > opts.infeasible_ratio * opts.tol:
-            return INFEASIBLE, best_x, best, sweep, history
-    return UNDECIDED, best_x, best, opts.max_iters, history
+            return FEASIBLE, "tol", best_x, best, sweep, history, None
+        if sweep & (sweep - 1) == 0:
+            cert = _certify(sets, zs, pins, unreached)
+            if cert is not None and cert[1] * opts.infeasible_ratio >= best:
+                return INFEASIBLE, "certificate", best_x, best, sweep, history, cert
+        if stall >= opts.stall_window:
+            return UNDECIDED, "stall", best_x, best, sweep, history, None
+    return UNDECIDED, "budget", best_x, best, opts.max_iters, history, None
 
 
 def _solve(
@@ -301,16 +393,23 @@ def _solve(
     """Search for PSD `dim`-blocks on `grid` meeting every `(keep, targets,
     kraus)` family of marginal constraints (see `_Marginals`)."""
     sets = [_Marginals(grid, *family) for family in families]
-    pins = _support_pins(sets, dim)
+    pins, unreached = _support_pins(sets, dim)
     x0 = np.zeros((math.prod(grid), dim, dim), dtype=complex)
-    status, x, res, iters, history = _run_dykstra(x0, pins, sets, opts)
+    status, reason, x, res, iters, history, cert = _run_dykstra(
+        x0, pins, unreached, sets, opts
+    )
+    feasible = status == FEASIBLE
     return FeasibilityOutcome(
         status=status,
         residual=res,
         iterations=iters,
-        witness=tuple(x) if status == FEASIBLE else None,
-        witness_labels=labels if status == FEASIBLE else None,
-        infeasibility_floor=res if status == INFEASIBLE else None,
+        reason=reason,
+        witness=tuple(x) if feasible else None,
+        witness_labels=labels if feasible else None,
+        infeasibility_floor=None if cert is None else cert[1],
+        certificate=None if cert is None else tuple(
+            y.reshape(cset.targets.shape) for cset, y in zip(sets, cert[0])
+        ),
         residual_history=tuple(history),
     )
 
@@ -363,6 +462,7 @@ def is_a_channel(
                 status=FEASIBLE,
                 residual=gap,
                 iterations=0,
+                reason="tol",
                 witness=marks,
                 witness_labels=a.labels,
             )

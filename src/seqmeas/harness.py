@@ -124,6 +124,9 @@ def digest(doc) -> str:
 
 
 A_STRENGTH = 0.8
+# the reference B: the strength of the sharpest X binary jointly
+# measurable with A, sqrt(1 - A_STRENGTH**2)
+B_STRENGTH = 0.6
 GRID_POINTS = 20
 GRID_ANGLES = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 BOUNDARY_MARGIN = 1e-3
@@ -143,7 +146,7 @@ def _tilted_axis(theta: float) -> np.ndarray:
 def _reference_inputs() -> dict:
     return {
         "A": digest(povm_to_json(qubit_binary(A_STRENGTH, AXIS_Z))),
-        "B": digest(povm_to_json(qubit_binary(0.6, AXIS_X))),
+        "B": digest(povm_to_json(qubit_binary(B_STRENGTH, AXIS_X))),
         "C": digest(povm_to_json(four_outcome_refinement(A_STRENGTH))),
     }
 
@@ -157,6 +160,8 @@ def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
     run = skipped = agree = undecided = 0
     worst_feasible = 0.0
     worst_floor = math.inf
+    reasons: dict[str, int] = {}
+    sweeps: dict[str, int] = {}
     for theta in GRID_ANGLES:
         b_axis = _tilted_axis(theta)
         for s in strengths:
@@ -171,6 +176,8 @@ def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
                     qubit_binary(float(t), b_axis),
                     opts=opts,
                 )
+                reasons[out.reason] = reasons.get(out.reason, 0) + 1
+                sweeps[out.status] = sweeps.get(out.status, 0) + out.iterations
                 if out.status == UNDECIDED:
                     undecided += 1
                     continue
@@ -198,6 +205,8 @@ def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
         "worst_infeasibility_floor": None if math.isinf(worst_floor) else worst_floor,
         "feasible_tolerance": 1e-8,
         "floor_requirement": 1e-4,
+        "reasons": reasons,
+        "sweeps": sweeps,
     }
 
 
@@ -234,7 +243,8 @@ def _check_luders_not_universal(seed: int, opts: SolverOptions) -> tuple[str, di
         "residual_floor": out.infeasibility_floor,
         "floor_requirement": 1e-4,
         "refinement_valid": refinement_ok,
-        "iterations": out.iterations,
+        "reason": out.reason,
+        "sweeps": out.iterations,
     }
 
 
@@ -244,8 +254,8 @@ def _recovery_cases(seed: int, opts: SolverOptions) -> list[tuple[str, Povm, Pov
     cases = [
         ("refinement", refinement_joint(four_outcome_refinement(A_STRENGTH)),
          four_outcome_refinement(A_STRENGTH)),
-        ("orthogonal", orthogonal_joint_observable(A_STRENGTH, 0.6),
-         qubit_binary(0.6, AXIS_X)),
+        ("orthogonal", orthogonal_joint_observable(A_STRENGTH, B_STRENGTH),
+         qubit_binary(B_STRENGTH, AXIS_X)),
     ]
     rng = np.random.default_rng(seed)
     tight = SolverOptions(tol=1e-10, max_iters=opts.max_iters)
@@ -341,6 +351,8 @@ def _check_triplet(seed: int, opts: SolverOptions) -> tuple[str, dict]:
             "pairwise": pair_status,
             "triple": triple.status,
             "triple_floor": triple.infeasibility_floor,
+            "triple_reason": triple.reason,
+            "triple_sweeps": triple.iterations,
         })
     status = "undecided" if saw_undecided else ("pass" if ok else "fail")
     return status, {"cases": rows, "floor_requirement": 1e-4}

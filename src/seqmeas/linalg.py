@@ -15,6 +15,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT",
     "RANK_RCOND",
+    "CERTIFICATE_SLACK",
     "HermitianEigen",
     "as_complex",
     "dagger",
@@ -46,6 +47,12 @@ DEFAULT = Tolerances()
 # singular values below this fraction of the largest count as zero when a
 # span or a pseudo-inverse is formed
 RANK_RCOND = 1e-10
+
+# roundoff allowance for a Farkas certificate y of an infeasible system
+# L x = b over a cone: its dual operator L*y may dip this fraction of its
+# norm below zero, and its gap -<y, b> must exceed this fraction of
+# |y| |b|, before the certificate counts as a proof
+CERTIFICATE_SLACK = 1e-12
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -221,6 +221,7 @@ def outcome_to_json(o: FeasibilityOutcome) -> dict:
         "status": o.status,
         "residual": float(o.residual),
         "iterations": int(o.iterations),
+        "reason": o.reason,
     }
     if o.witness is not None:
         doc["witness"] = [matrix_to_json(w) for w in o.witness]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqmeas.channels import (
@@ -33,6 +33,8 @@ from seqmeas.feasibility import (
     witness_povm,
 )
 from seqmeas.feasibility import _Marginals
+from seqmeas.harness import BOUNDARY_MARGIN, GRID_ANGLES, GRID_POINTS
+from seqmeas.linalg import CERTIFICATE_SLACK
 from seqmeas.povm import (
     AXIS_X,
     AXIS_Y,
@@ -167,6 +169,7 @@ def test_channel_test_rejects_a_lossy_channel():
 def test_identity_channel_cannot_carry_an_unsharp_observable():
     out = is_a_channel(identity_channel(2), A08)
     assert out.status == INFEASIBLE
+    assert out.reason == "certificate"
     assert out.infeasibility_floor >= 0.25
     assert out.witness is None
 
@@ -202,6 +205,7 @@ def test_luders_conjugate_admits_the_transverse_observable():
 def test_luders_conjugate_rejects_the_refinement():
     out = conjugate_is_b_channel(luders(A08), C08)
     assert out.status == INFEASIBLE
+    assert out.reason == "certificate"
     assert out.infeasibility_floor >= 1e-3
 
 
@@ -289,6 +293,7 @@ def test_boundary_pair_joint_found_in_one_sweep():
 def test_joint_search_rejects_a_pair_past_the_boundary():
     out = find_joint_observable(A08, B07)
     assert out.status == INFEASIBLE
+    assert out.reason == "certificate"
     assert out.infeasibility_floor >= 1e-2
 
 
@@ -320,6 +325,7 @@ def test_spin_triplet_pairwise_but_not_triplewise():
         assert find_joint_observable(p, q).status == FEASIBLE
     out = find_joint_observable(x, y, z)
     assert out.status == INFEASIBLE
+    assert out.reason == "certificate"
     assert out.infeasibility_floor >= 0.05
 
 
@@ -414,12 +420,44 @@ def test_outcome_bookkeeping_on_a_feasible_run():
 
 
 def test_budget_exhaustion_is_reported_as_undecided():
-    out = find_joint_observable(A08, B07, opts=SolverOptions(max_iters=5))
+    # a compatible pair the solver needs 58 sweeps for
+    slow = qubit_binary(0.6, tilted_axis(math.pi / 4))
+    out = find_joint_observable(
+        qubit_binary(0.7, AXIS_Z), slow, opts=SolverOptions(max_iters=5)
+    )
     assert out.status == UNDECIDED
     assert not out.feasible
     assert out.witness is None
     assert out.infeasibility_floor is None
     assert out.iterations == 5
+
+
+def test_rank_one_joint_that_stalls_is_never_infeasible():
+    # the first Wishart draw at seed 7 (d = 3, 2 x 3 outcomes, one column
+    # each): compatible by construction, but convergence on its face is so
+    # slow that the stall window fires above tolerance
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(6, 3, 1)) + 1j * rng.normal(size=(6, 3, 1))
+    blocks = g @ np.conj(np.swapaxes(g, 1, 2))
+    w, v = np.linalg.eigh(blocks.sum(axis=0))
+    isq = (v * w**-0.5) @ np.conj(v.T)
+    m = isq @ blocks @ isq
+    m = ((m + np.conj(np.swapaxes(m, 1, 2))) / 2).reshape(2, 3, 3, 3)
+    a = Povm(3, tuple(((x,), m[x].sum(axis=0)) for x in range(2)))
+    b = Povm(3, tuple(((y,), m[:, y].sum(axis=0)) for y in range(3)))
+    out = find_joint_observable(a, b, opts=SolverOptions(tol=1e-10))
+    assert out.status != INFEASIBLE
+    assert out.certificate is None
+
+
+def test_rank_cut_alone_never_yields_a_certificate():
+    # the effects' 1e-10 eigenvalues fall below the rank tolerance, so the
+    # face misses them and its residual stays near 2e-10, above tol; a
+    # bound that small proves nothing about the pair, which is compatible
+    nearly_sharp = qubit_binary(1 - 2e-10, AXIS_Z)
+    out = find_joint_observable(nearly_sharp, nearly_sharp, opts=SolverOptions(tol=1e-10))
+    assert out.status != INFEASIBLE
+    assert out.certificate is None
 
 
 def test_witness_povm_requires_a_labeled_witness():
@@ -445,6 +483,7 @@ def test_recovery_agrees_with_the_conjugate_test(strength, axis):
     b = qubit_binary(strength, axis)
     pre = conjugate_is_b_channel(lam, b)
     assert pre.status == (FEASIBLE if reachable else INFEASIBLE)
+    assert pre.reason == ("tol" if reachable else "certificate")
     if reachable:
         got = recover_b_prime(lam, b)
         assert verify_sequential(lam, got, b, tol=1e-6)
@@ -529,12 +568,159 @@ def test_marginals_projection_is_the_orthogonal_projection(problem):
     targets = _read(grid, keep, kraus, point())
     cset = _Marginals(grid, keep, list(targets), kraus)
     x = point()
-    px = cset.project(x)
+    px, z = cset.project(x)
     assert np.linalg.norm(_read(grid, keep, kraus, px) - targets) <= 1e-10
     assert cset.violation(px) <= 1e-10
-    assert np.linalg.norm(cset.project(px) - px) <= 1e-10
+    assert np.linalg.norm(cset.project(px)[0] - px) <= 1e-10
     # x - P(x) is normal to every direction P(z) - P(x) inside the set
-    direction = cset.project(point()) - px
+    direction = cset.project(point())[0] - px
     normal = x - px
     scale = max(1.0, np.linalg.norm(normal) * np.linalg.norm(direction))
     assert abs(np.vdot(normal, direction)) <= 1e-10 * scale
+    # the multiplier reproduces the step, and adjoint is the adjoint map
+    blocks = grid + x.shape[1:]
+    assert np.linalg.norm(x.reshape(blocks) + cset.adjoint(z) - px.reshape(blocks)) <= 1e-10
+    probe = z + 1j * z[::-1]
+    lhs = np.vdot(np.broadcast_to(cset.adjoint(probe), blocks), x)
+    rhs = np.vdot(probe.reshape(targets.shape), _read(grid, keep, kraus, x))
+    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+# ------------------------------------------------------------ certificates
+
+
+def _face(kernels, dim):
+    """Projector onto the complement of the span of the given columns."""
+    cols = np.hstack(kernels)
+    if cols.shape[1] == 0:
+        return np.eye(dim)
+    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+    u = u[:, sv > 1e-10 * sv[0]]
+    return np.eye(dim) - u @ np.conj(u.T)
+
+
+def _kernel(m):
+    w, v = np.linalg.eigh(m)
+    return v[:, np.abs(w) <= 1e-9 * max(1.0, np.abs(w).max())]
+
+
+def _check_certificate(duals, faces, y, b):
+    """The Farkas conditions on y, rebuilt in plain numpy: the dual blocks
+    are positive on their faces and <y, b> is negative, both within the
+    certificate slack.  Returns the bound -<y, b> / |y|."""
+    duals = np.asarray(duals)
+    lows = [np.linalg.eigvalsh(p @ d @ p)[0] for p, d in zip(faces, duals)]
+    assert min(lows) >= -CERTIFICATE_SLACK * np.linalg.norm(duals)
+    gap = -sum(np.vdot(yi, bi).real for yi, bi in zip(y, b))
+    norm = math.sqrt(sum(np.vdot(yi, yi).real for yi in y))
+    scale = math.sqrt(sum(np.vdot(bi, bi).real for bi in b))
+    assert gap > CERTIFICATE_SLACK * norm * scale
+    return gap / norm
+
+
+def _check_joint_certificate(a, b, out):
+    assert out.status == INFEASIBLE
+    assert out.reason == "certificate"
+    y_a, y_b = out.certificate
+    assert y_a.shape == (len(a), a.dim, a.dim)
+    assert y_b.shape == (len(b), b.dim, b.dim)
+    duals, faces = [], []
+    for i, ea in enumerate(a.effects):
+        for j, eb in enumerate(b.effects):
+            duals.append(y_a[i] + y_b[j])
+            faces.append(_face([_kernel(ea), _kernel(eb)], a.dim))
+    bound = _check_certificate(
+        duals, faces, list(y_a) + list(y_b), list(a.effects) + list(b.effects)
+    )
+    assert bound == pytest.approx(out.infeasibility_floor, rel=1e-9)
+    # the solver's best point lies on the face, so it obeys the bound
+    assert out.infeasibility_floor <= out.residual * (1 + 1e-12)
+
+
+def _check_preimage_certificate(channel, b, out):
+    assert out.status == INFEASIBLE
+    assert out.reason == "certificate"
+    y_eye, y_b = out.certificate
+    d = channel.dim_out
+    assert y_eye.shape == (1, d, d)
+    assert y_b.shape == (len(b), b.dim, b.dim)
+    duals, faces = [], []
+    for yk, eb in zip(y_b, b.effects):
+        duals.append(y_eye[0] + sum(k @ yk @ np.conj(k.T) for k in channel.kraus))
+        kern = _kernel(eb)
+        faces.append(_face([k @ kern for k in channel.kraus], d))
+    bound = _check_certificate(
+        duals, faces, [y_eye[0]] + list(y_b), [np.eye(d)] + list(b.effects)
+    )
+    assert bound == pytest.approx(out.infeasibility_floor, rel=1e-9)
+    assert out.infeasibility_floor <= out.residual * (1 + 1e-12)
+
+
+def bloch_axis(theta, phi):
+    return np.array(
+        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+    )
+
+
+# axes at least 0.3 rad off z, so that strengths up to 1 reach past the
+# boundary by the margin below
+tilts = st.floats(0.3, math.pi / 2)
+MARGIN = 1.02
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.floats(0.5, 1.0), tilts, st.floats(0.0, 1.0))
+def test_incompatible_pair_certificates_check_independently(s, theta, u):
+    # the smallest t with busch_value(s, t, theta) >= MARGIN, then beyond
+    c = math.cos(theta)
+    t_min = math.sqrt(max(0.0, MARGIN - s * s) / (1 - c * c * s * s))
+    t = t_min + u * (1.0 - t_min)
+    assume(t > 0.0 and busch_value(s, t, theta) >= MARGIN)
+    a = qubit_binary(s, AXIS_Z)
+    b = qubit_binary(t, tilted_axis(theta))
+    _check_joint_certificate(a, b, find_joint_observable(a, b))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.floats(0.5, 0.95), tilts, st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0))
+def test_unreachable_luders_preimage_certificates_check_independently(s, theta, phi, u):
+    # after luders(s Z) the transverse Bloch components shrink by
+    # sqrt(1 - s^2), so B is reachable exactly when t^2 * stretch <= 1
+    stretch = math.cos(theta) ** 2 + math.sin(theta) ** 2 / (1 - s * s)
+    t_min = math.sqrt(MARGIN / stretch)
+    t = t_min + u * (1.0 - t_min)
+    assume(t * t * stretch >= MARGIN)
+    lam = luders(qubit_binary(s, AXIS_Z))
+    b = qubit_binary(t, bloch_axis(theta, phi))
+    _check_preimage_certificate(lam, b, conjugate_is_b_channel(lam, b))
+
+
+def test_fixed_infeasible_cases_carry_checkable_certificates():
+    _check_joint_certificate(A08, B07, find_joint_observable(A08, B07))
+    sharp_z, sharp_x = qubit_binary(1.0, AXIS_Z), qubit_binary(1.0, AXIS_X)
+    _check_joint_certificate(sharp_z, sharp_x, find_joint_observable(sharp_z, sharp_x))
+    lam = luders(A08)
+    _check_preimage_certificate(lam, C08, conjugate_is_b_channel(lam, C08))
+    y09 = qubit_binary(0.9, AXIS_Y)
+    _check_preimage_certificate(lam, y09, conjugate_is_b_channel(lam, y09))
+    # the identity's environment is one-dimensional: A08 leaves the range
+    # of the conjugate channel's dual, and that part alone is the proof
+    env = conjugate(identity_channel(2))
+    _check_preimage_certificate(env, A08, is_a_channel(identity_channel(2), A08))
+
+
+def test_no_compatible_grid_pair_is_ever_certified():
+    # a zero tolerance never stops a run early, so every scheduled
+    # certificate attempt up to the budget is made on every pair
+    opts = SolverOptions(tol=0.0, max_iters=16)
+    strengths = np.linspace(0.05, 1.0, GRID_POINTS)
+    for theta in GRID_ANGLES:
+        for s in strengths:
+            for t in strengths:
+                if busch_value(s, t, theta) > 1.0 - BOUNDARY_MARGIN:
+                    continue
+                out = find_joint_observable(
+                    qubit_binary(s, AXIS_Z), qubit_binary(t, tilted_axis(theta)), opts=opts
+                )
+                assert out.status != INFEASIBLE
+                assert out.certificate is None

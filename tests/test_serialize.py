@@ -7,7 +7,7 @@ import pytest
 
 from seqmeas.channels import KrausChannel, luders
 from seqmeas.dilation import naimark_minimal
-from seqmeas.feasibility import find_joint_observable
+from seqmeas.feasibility import SolverOptions, find_joint_observable
 from seqmeas.linalg import frob
 from seqmeas.povm import (
     AXIS_X,
@@ -153,7 +153,22 @@ def test_outcome_json_carries_the_floor_only_when_infeasible():
     bad = find_joint_observable(A08, qubit_binary(0.7, AXIS_X))
     assert "infeasibility_floor" not in outcome_to_json(good)
     doc = json.loads(json.dumps(outcome_to_json(bad)))
+    # the certified lower bound, which never exceeds the best residual
     assert doc["infeasibility_floor"] == bad.infeasibility_floor >= 1e-2
+    assert doc["infeasibility_floor"] <= doc["residual"]
+
+
+def test_outcome_json_says_why_the_solver_stopped():
+    good = find_joint_observable(A08, qubit_binary(0.6, AXIS_X))
+    bad = find_joint_observable(A08, qubit_binary(0.7, AXIS_X))
+    # a compatible pair at pi/4 that needs 58 sweeps
+    tilted = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+    short = find_joint_observable(
+        qubit_binary(0.7, AXIS_Z), qubit_binary(0.6, tilted), opts=SolverOptions(max_iters=1)
+    )
+    reasons = [through_text(outcome_to_json(o))["reason"] for o in (good, bad, short)]
+    assert reasons == ["tol", "certificate", "budget"]
+    assert "infeasibility_floor" not in outcome_to_json(short)
 
 
 def test_scheme_bundle_parses_back():
