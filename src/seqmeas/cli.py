@@ -1,7 +1,8 @@
 """Command-line surface: JSON artifacts in, verdicts and reports out.
 
 Exit codes: 0 the mathematical claim holds, 1 it fails or is refuted,
-2 malformed input, 3 the solver could not decide within its budget.
+2 malformed input, 3 the solver stopped undecided (out of budget, or
+stalled without an infeasibility certificate).
 """
 
 from __future__ import annotations

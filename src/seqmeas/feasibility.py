@@ -41,9 +41,11 @@ the step from the sweep's affine point back to the cone point it started
 from; the part of a target its map cannot reach adds to y with L*y = 0.
 A shift by the identity on the first identity-map family makes L*y
 positive on the face, and -<y, b> / |y| is then a true lower bound on
-the residual over the face.  It counts only above what roundoff and the
-rank tolerance of the supports could explain: the target eigenvalues
-that tolerance sends to zero are out of every face point's reach.
+the residual over the face.  It proves infeasibility only above
+roundoff and above the reach of the supports: their rank tolerance
+counts tiny target eigenvalues as kernel, so a true solution may lie
+just off the face, and the face point nearest it keeps a residual
+bounded from the eigenvalues cut.
 Certificates are tried at sweeps 1, 2, 4, 8, ..., and a run stops
 infeasible once the bound comes within `infeasible_ratio` of the best
 residual.  A run that stalls without a certificate is undecided.
@@ -204,6 +206,8 @@ class _Marginals:
         self.targets = np.asarray(targets, dtype=complex)
         self.flat_targets = self.targets.reshape(len(self.targets), -1)
         self.smat = None
+        # squared operator norm of the map a block is read through
+        self.gain = 1.0
         self.lifted = self.lift + self.targets.shape[1:]
         if kraus is not None:
             k = np.stack(kraus)
@@ -220,6 +224,7 @@ class _Marginals:
             gram = gram.transpose(0, 2, 1, 3).reshape(d_in * d_in, d_in * d_in)
             # the Gram matrix is PSD, so its pseudo-inverse comes from eigh
             w, v = np.linalg.eigh(gram)
+            self.gain = float(w[-1])
             big = w > RANK_RCOND * w[-1]
             self.ginv = (v[:, big] / w[big]) @ dagger(v[:, big])
             self.span = v[:, big]
@@ -259,20 +264,25 @@ class _Marginals:
         return float(np.linalg.norm(self._defect(x)))
 
 
-def _kernel_cols(ms: np.ndarray, rank_tol: float = DEFAULT.rank) -> list[np.ndarray]:
-    """Orthonormal bases of the (toleranced) kernels of stacked Hermitian matrices."""
+def _kernel_cols(
+    ms: np.ndarray, rank_tol: float = DEFAULT.rank
+) -> list[tuple[np.ndarray, float]]:
+    """Orthonormal bases of the (toleranced) kernels of stacked Hermitian
+    matrices, each with the summed magnitude of the eigenvalues it cuts."""
     w, v = np.linalg.eigh((ms + np.conj(np.swapaxes(ms, -1, -2))) / 2)
-    cut = rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1))
-    return [vi[:, np.abs(wi) <= ci] for wi, vi, ci in zip(w, v, cut)]
+    small = np.abs(w) <= rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
+    return [(vi[:, k], float(np.abs(wi[k]).sum())) for wi, vi, k in zip(w, v, small)]
 
 
-def _complement_projector(cols: np.ndarray, dim: int) -> np.ndarray:
-    """Projector onto the orthogonal complement of the given column span."""
-    if cols.size == 0:
-        return np.eye(dim, dtype=complex)
+def _complement_projector(cols: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
+    """Projector onto the orthogonal complement of the given column span,
+    and the smallest squared singular value of the columns it keeps."""
+    if not cols.any():
+        return np.eye(dim, dtype=complex), math.inf
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    u = u[:, s > RANK_RCOND * s[0]]
-    return np.eye(dim, dtype=complex) - u @ dagger(u)
+    kept = s > RANK_RCOND * s[0]
+    u = u[:, kept]
+    return np.eye(dim, dtype=complex) - u @ dagger(u), float(s[kept][-1] ** 2)
 
 
 def _support_pins(sets: Sequence[_Marginals], dim: int) -> tuple[np.ndarray | None, float]:
@@ -280,38 +290,58 @@ def _support_pins(sets: Sequence[_Marginals], dim: int) -> tuple[np.ndarray | No
 
     Every block, read through a family's map, sits below each target it
     sums into, so it must vanish on the Kraus image of that target's
-    kernel.  The projectors are None when no block is pinned.  Also
-    returns the norm of the target eigenvalues the rank tolerance counts
-    as kernel: no point of the face reaches that part of the targets.
+    kernel.  The projectors are None when no block is pinned.
+
+    Also returns the reach: how far, in residual, a true solution x may
+    lie from the face.  The rank tolerance counts eigenvalues up to
+    `cut` as kernel, so a solution may weigh a cell's kernel images
+    C (columns) with tr(C C^dag x) <= cut, hence tr(Q x Q) <= q = cut /
+    s_min(C)^2 for the projector Q = 1 - P.  The part x - P x P off the
+    face then has squared norm at most 2 tr(x) q + q^2, where tr(x) is
+    at most the trace of any identity-map target x sums into, and L
+    scales it by at most |L|.
     """
     if len({s.targets.shape[1:] for s in sets}) == 1:
-        # one eigh call for every target
+        # one eigh call for every target: a second call costs about 20 us
+        # of a 360 us one-sweep qubit solve
         flat = iter(_kernel_cols(np.concatenate([s.targets for s in sets])))
         kernels = [[next(flat) for _ in s.targets] for s in sets]
     else:
         kernels = [_kernel_cols(s.targets) for s in sets]
-    if not any(v.shape[1] for kerns in kernels for v in kerns):
+    if not any(v.shape[1] for kerns in kernels for v, _ in kerns):
         return None, 0.0
-    # |T V| over a kernel basis V of T is the norm of the eigenvalues cut
-    unreached = math.hypot(*(
-        np.linalg.norm(t @ v) for s, kerns in zip(sets, kernels)
-        for t, v in zip(s.targets, kerns)
-    ))
     images = [
-        kerns if s.kraus is None else [np.hstack([k @ v for k in s.kraus]) for v in kerns]
+        kerns if s.kraus is None
+        else [(np.hstack([k @ v for k in s.kraus]), cut) for v, cut in kerns]
         for s, kerns in zip(sets, kernels)
     ]
+    traces = [
+        (s, np.trace(s.targets, axis1=1, axis2=2).real) for s in sets if s.kraus is None
+    ]
     grid = sets[0].grid
+
+    def target_of(s: _Marginals, cell: tuple[int, ...]) -> int:
+        pos = 0
+        for i in s.keep:
+            pos = pos * grid[i] + cell[i]
+        return pos
+
     pins = []
+    drift = 0.0
     for cell in itertools.product(*(range(n) for n in grid)):
-        cols = []
+        cols, cut = [], 0.0
         for s, kerns in zip(sets, images):
-            pos = 0
-            for i in s.keep:
-                pos = pos * grid[i] + cell[i]
-            cols.append(kerns[pos])
-        pins.append(_complement_projector(np.hstack(cols), dim))
-    return np.stack(pins), unreached
+            v, c = kerns[target_of(s, cell)]
+            cols.append(v)
+            cut += c
+        pin, floor = _complement_projector(np.hstack(cols), dim)
+        pins.append(pin)
+        if cut > 0.0:
+            q = cut / floor
+            trace = min(tr[target_of(s, cell)] for s, tr in traces)
+            drift += q * (2.0 * trace + q)
+    gain = sum(s.scale * s.gain for s in sets)
+    return np.stack(pins), math.sqrt(gain * drift)
 
 
 # --- solver ---------------------------------------------------------------
@@ -321,14 +351,14 @@ def _pin(pins: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.einsum("nab,nbc,ncd->nad", pins, blocks, pins)
 
 
-def _certify(sets, zs, pins, unreached: float):
+def _certify(sets, zs, pins, reach: float):
     """A Farkas certificate from one sweep's multipliers, or None.
 
     Returns the multipliers y, one flattened matrix per target of each
     set, and the lower bound -<y, b> / |y| they prove on the residual of
     every point of the face.  The bound must exceed both the roundoff
-    allowance and `unreached`, the part of the targets the face misses
-    only because of the rank tolerance.
+    allowance and `reach`, the residual of the face point nearest a true
+    solution (see `_support_pins`): only then does no solution exist.
     """
     ys = [-z - cset.off_range for cset, z in zip(sets, zs)]
     dual = sum(cset.adjoint(y) for cset, y in zip(sets, ys))
@@ -345,12 +375,12 @@ def _certify(sets, zs, pins, unreached: float):
     gap = -sum(np.vdot(y, cset.flat_targets).real for cset, y in zip(sets, ys))
     norm = math.sqrt(sum(np.vdot(y, y).real for y in ys))
     scale = math.sqrt(sum(np.vdot(c.flat_targets, c.flat_targets).real for c in sets))
-    if not gap > norm * max(CERTIFICATE_SLACK * scale, unreached):
+    if not gap > norm * max(CERTIFICATE_SLACK * scale, reach):
         return None
     return ys, gap / norm
 
 
-def _run_dykstra(x0: np.ndarray, pins, unreached: float, sets, opts: SolverOptions):
+def _run_dykstra(x0: np.ndarray, pins, reach: float, sets, opts: SolverOptions):
     # on a subspace or an affine set the Dykstra correction is normal to
     # the set and so lost in the next projection; only the face needs one
     x = np.array(x0, dtype=complex)
@@ -379,7 +409,7 @@ def _run_dykstra(x0: np.ndarray, pins, unreached: float, sets, opts: SolverOptio
         if best <= opts.tol:
             return FEASIBLE, "tol", best_x, best, sweep, history, None
         if sweep & (sweep - 1) == 0:
-            cert = _certify(sets, zs, pins, unreached)
+            cert = _certify(sets, zs, pins, reach)
             if cert is not None and cert[1] * opts.infeasible_ratio >= best:
                 return INFEASIBLE, "certificate", best_x, best, sweep, history, cert
         if stall >= opts.stall_window:
@@ -393,10 +423,10 @@ def _solve(
     """Search for PSD `dim`-blocks on `grid` meeting every `(keep, targets,
     kraus)` family of marginal constraints (see `_Marginals`)."""
     sets = [_Marginals(grid, *family) for family in families]
-    pins, unreached = _support_pins(sets, dim)
+    pins, reach = _support_pins(sets, dim)
     x0 = np.zeros((math.prod(grid), dim, dim), dtype=complex)
     status, reason, x, res, iters, history, cert = _run_dykstra(
-        x0, pins, unreached, sets, opts
+        x0, pins, reach, sets, opts
     )
     feasible = status == FEASIBLE
     return FeasibilityOutcome(

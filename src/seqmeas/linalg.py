@@ -49,9 +49,10 @@ DEFAULT = Tolerances()
 RANK_RCOND = 1e-10
 
 # roundoff allowance for a Farkas certificate y of an infeasible system
-# L x = b over a cone: its dual operator L*y may dip this fraction of its
-# norm below zero, and its gap -<y, b> must exceed this fraction of
-# |y| |b|, before the certificate counts as a proof
+# L x = b over a cone: its gap -<y, b> must exceed this fraction of
+# |y| |b| before the certificate counts as a proof (a check that rebuilds
+# L*y independently may also let its eigenvalues dip this fraction of
+# its norm below zero)
 CERTIFICATE_SLACK = 1e-12
 
 

@@ -450,14 +450,35 @@ def test_rank_one_joint_that_stalls_is_never_infeasible():
     assert out.certificate is None
 
 
-def test_rank_cut_alone_never_yields_a_certificate():
-    # the effects' 1e-10 eigenvalues fall below the rank tolerance, so the
-    # face misses them and its residual stays near 2e-10, above tol; a
-    # bound that small proves nothing about the pair, which is compatible
-    nearly_sharp = qubit_binary(1 - 2e-10, AXIS_Z)
-    out = find_joint_observable(nearly_sharp, nearly_sharp, opts=SolverOptions(tol=1e-10))
+NEARLY_SHARP = qubit_binary(1 - 2e-10, AXIS_Z)
+
+
+@pytest.mark.parametrize(
+    "b, tol",
+    [
+        # the effects' 1e-10 eigenvalues fall below the rank tolerance, so
+        # the face misses them and its residual stays near 2e-10, above tol
+        (NEARLY_SHARP, 1e-10),
+        # s^2 + t^2 < 1: every face block is diagonal and misses B's
+        # transverse parts by about t, while a true joint reaches them
+        # through off-diagonal terms of order sqrt(1e-10) on the cut
+        # directions, so a bound of order t proves nothing either
+        (qubit_binary(1e-5, AXIS_X), 1e-8),
+        (qubit_binary(1e-6, AXIS_X), 1e-8),
+    ],
+)
+def test_rank_cut_alone_never_yields_a_certificate(b, tol):
+    out = find_joint_observable(NEARLY_SHARP, b, opts=SolverOptions(tol=tol))
     assert out.status != INFEASIBLE
     assert out.certificate is None
+
+
+def test_rank_cut_still_certifies_a_pair_past_the_boundary():
+    # s^2 + t^2 = 1 + 1e-6: the face misses B by 1e-3, far beyond what the
+    # cut eigenvalues let a solution reach
+    out = find_joint_observable(NEARLY_SHARP, qubit_binary(1e-3, AXIS_X))
+    assert out.status == INFEASIBLE
+    assert out.reason == "certificate"
 
 
 def test_witness_povm_requires_a_labeled_witness():
