@@ -18,11 +18,20 @@ targets.  Each such family of constraints is one affine set,
   branches measuring B (`is_a_channel`), because those branches are
   exactly the observables on the Stinespring environment.
 
-The solver is Dykstra's alternating projection method, which converges
-to a point of the intersection whenever one exists.  Only the cone
-projection carries a Dykstra correction: on an affine set or a subspace
-the correction is normal to the set, so the next projection onto it
-discards it.
+The solver runs alternating projections: one sweep T(x) projects
+through every affine set in turn and then onto the cone, and its
+iterates converge to a point of the intersection whenever one exists.
+A feasibility question needs any such point, not the nearest one, so no
+Dykstra correction is kept.  Plain sweeps creep towards a boundary point
+of the cone, by a fixed factor per sweep or sublinearly on degenerate
+faces, so each sweep's input is extrapolated by type-II Anderson
+acceleration (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; Zhang,
+O'Donoghue & Boyd, SIAM J. Optim. 30, 2020).  From the last few inputs
+x_k and steps g_k = T(x_k) - x_k, with their differences dX and dG, the
+next input is T(x_k) - (dX + dG) gamma, where gamma solves dG gamma = g_k
+in least squares over real coefficients (so blocks stay Hermitian).  The
+memory is cleared whenever the residual rises, and the first
+extrapolation comes after the second sweep.
 
 Rank-deficient targets pin every solution to a face of the cone, where
 plain alternating projections slow to a crawl.  A block read through a
@@ -37,8 +46,9 @@ An infeasible verdict rests on a Farkas certificate: multipliers y, one
 matrix per constraint, whose dual operator L*y is positive on the face
 while <y, b> < 0, so that no face point x can meet L x = b.  Every affine
 projection hands out its multiplier, and with y minus their sum, L*y is
-the step from the sweep's affine point back to the cone point it started
-from; the part of a target its map cannot reach adds to y with L*y = 0.
+the step from the sweep's affine point back to the input it started
+from, whatever that input was; the part of a target its map cannot
+reach adds to y with L*y = 0.
 A shift by the identity on the first identity-map family makes L*y
 positive on the face, and -<y, b> / |y| is then a true lower bound on
 the residual over the face.  It proves infeasibility only above
@@ -52,7 +62,8 @@ residual.  A run that stalls without a certificate is undecided.
 
 The cone projection runs last in every sweep, so each logged iterate is
 exactly positive and on the face, and the residual is purely the affine
-defect.
+defect.  An extrapolated input may leave the cone, but only cone
+outputs are ever logged or returned.
 """
 
 from __future__ import annotations
@@ -60,6 +71,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -346,6 +358,10 @@ def _support_pins(sets: Sequence[_Marginals], dim: int) -> tuple[np.ndarray | No
 
 # --- solver ---------------------------------------------------------------
 
+# how many past steps each Anderson extrapolation combines
+ANDERSON_MEMORY = 5
+
+
 def _pin(pins: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """P x P for every block; one einsum beats two stacked matmuls on small blocks."""
     return np.einsum("nab,nbc,ncd->nad", pins, blocks, pins)
@@ -380,23 +396,24 @@ def _certify(sets, zs, pins, reach: float):
     return ys, gap / norm
 
 
-def _run_dykstra(x0: np.ndarray, pins, reach: float, sets, opts: SolverOptions):
-    # on a subspace or an affine set the Dykstra correction is normal to
-    # the set and so lost in the next projection; only the face needs one
-    x = np.array(x0, dtype=complex)
-    correction = np.zeros_like(x)
+def _run_sweeps(x0: np.ndarray, pins, reach: float, sets, opts: SolverOptions):
+    x_in = np.array(x0, dtype=complex)
     best = math.inf
-    best_x = x.copy()
+    best_x = x_in
     history: list[float] = []
     stall = 0
+    last = math.inf
+    # Anderson memory, as real vectors: the differences of successive
+    # outputs T(x_k), which are dX + dG, and of successive steps g_k
+    prev = None
+    d_outs: deque[np.ndarray] = deque(maxlen=ANDERSON_MEMORY)
+    d_steps: deque[np.ndarray] = deque(maxlen=ANDERSON_MEMORY)
     for sweep in range(1, opts.max_iters + 1):
-        zs = []
+        x, zs = x_in, []
         for cset in sets:
             x, z = cset.project(x)
             zs.append(z)
-        shifted = x + correction
-        x = _project_psd(shifted if pins is None else _pin(pins, shifted))
-        correction = shifted - x
+        x = _project_psd(x if pins is None else _pin(pins, x))
         res = math.sqrt(sum(cset.violation(x) ** 2 for cset in sets))
         if res < best - opts.stall_delta:
             stall = 0
@@ -404,7 +421,7 @@ def _run_dykstra(x0: np.ndarray, pins, reach: float, sets, opts: SolverOptions):
             stall += 1
         if res < best:
             best = res
-            best_x = x.copy()
+            best_x = x
         history.append(best)
         if best <= opts.tol:
             return FEASIBLE, "tol", best_x, best, sweep, history, None
@@ -414,6 +431,19 @@ def _run_dykstra(x0: np.ndarray, pins, reach: float, sets, opts: SolverOptions):
                 return INFEASIBLE, "certificate", best_x, best, sweep, history, cert
         if stall >= opts.stall_window:
             return UNDECIDED, "stall", best_x, best, sweep, history, None
+        out = x.view(float).ravel()
+        step = out - x_in.view(float).ravel()
+        if res > last:
+            # the extrapolation overshot: restart from plain sweeps
+            d_outs.clear()
+            d_steps.clear()
+        elif prev is not None:
+            d_outs.append(out - prev[0])
+            d_steps.append(step - prev[1])
+        prev, last, x_in = (out, step), res, x
+        if d_steps:
+            gamma = np.linalg.lstsq(np.stack(d_steps, axis=1), step, rcond=None)[0]
+            x_in = x - (np.stack(d_outs, axis=1) @ gamma).view(complex).reshape(x.shape)
     return UNDECIDED, "budget", best_x, best, opts.max_iters, history, None
 
 
@@ -425,7 +455,7 @@ def _solve(
     sets = [_Marginals(grid, *family) for family in families]
     pins, reach = _support_pins(sets, dim)
     x0 = np.zeros((math.prod(grid), dim, dim), dtype=complex)
-    status, reason, x, res, iters, history, cert = _run_dykstra(
+    status, reason, x, res, iters, history, cert = _run_sweeps(
         x0, pins, reach, sets, opts
     )
     feasible = status == FEASIBLE

@@ -162,6 +162,7 @@ def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
     worst_floor = math.inf
     reasons: dict[str, int] = {}
     sweeps: dict[str, int] = {}
+    max_sweeps: dict[str, int] = {}
     for theta in GRID_ANGLES:
         b_axis = _tilted_axis(theta)
         for s in strengths:
@@ -178,6 +179,7 @@ def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
                 )
                 reasons[out.reason] = reasons.get(out.reason, 0) + 1
                 sweeps[out.status] = sweeps.get(out.status, 0) + out.iterations
+                max_sweeps[out.status] = max(max_sweeps.get(out.status, 0), out.iterations)
                 if out.status == UNDECIDED:
                     undecided += 1
                     continue
@@ -207,6 +209,7 @@ def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
         "floor_requirement": 1e-4,
         "reasons": reasons,
         "sweeps": sweeps,
+        "max_sweeps": max_sweeps,
     }
 
 

@@ -420,11 +420,9 @@ def test_outcome_bookkeeping_on_a_feasible_run():
 
 
 def test_budget_exhaustion_is_reported_as_undecided():
-    # a compatible pair the solver needs 58 sweeps for
-    slow = qubit_binary(0.6, tilted_axis(math.pi / 4))
-    out = find_joint_observable(
-        qubit_binary(0.7, AXIS_Z), slow, opts=SolverOptions(max_iters=5)
-    )
+    # a compatible pair the solver needs 80 sweeps for
+    a, b = _rank_one_pair(1)
+    out = find_joint_observable(a, b, opts=SolverOptions(max_iters=5))
     assert out.status == UNDECIDED
     assert not out.feasible
     assert out.witness is None
@@ -432,12 +430,14 @@ def test_budget_exhaustion_is_reported_as_undecided():
     assert out.iterations == 5
 
 
-def test_rank_one_joint_that_stalls_is_never_infeasible():
-    # the first Wishart draw at seed 7 (d = 3, 2 x 3 outcomes, one column
-    # each): compatible by construction, but convergence on its face is so
-    # slow that the stall window fires above tolerance
+def _rank_one_pair(draw: int) -> tuple[Povm, Povm]:
+    """The marginals of the draw-th Wishart joint at seed 7 (d = 3, 2 x 3
+    outcomes, one column each): compatible by construction, with effects
+    of rank 2 whose joint blocks have rank one inside their supports, so
+    the solutions sit on a face the pins do not cut out."""
     rng = np.random.default_rng(7)
-    g = rng.normal(size=(6, 3, 1)) + 1j * rng.normal(size=(6, 3, 1))
+    for _ in range(draw):
+        g = rng.normal(size=(6, 3, 1)) + 1j * rng.normal(size=(6, 3, 1))
     blocks = g @ np.conj(np.swapaxes(g, 1, 2))
     w, v = np.linalg.eigh(blocks.sum(axis=0))
     isq = (v * w**-0.5) @ np.conj(v.T)
@@ -445,9 +445,19 @@ def test_rank_one_joint_that_stalls_is_never_infeasible():
     m = ((m + np.conj(np.swapaxes(m, 1, 2))) / 2).reshape(2, 3, 3, 3)
     a = Povm(3, tuple(((x,), m[x].sum(axis=0)) for x in range(2)))
     b = Povm(3, tuple(((y,), m[:, y].sum(axis=0)) for y in range(3)))
+    return a, b
+
+
+@pytest.mark.parametrize("draw", range(1, 7))
+def test_rank_one_joint_is_decided_feasible(draw):
+    # unaccelerated sweeps converge sublinearly on this face and stall
+    # above tolerance after tens of thousands of sweeps; a stall must never
+    # turn into INFEASIBLE, and acceleration should not stall at all
+    a, b = _rank_one_pair(draw)
     out = find_joint_observable(a, b, opts=SolverOptions(tol=1e-10))
-    assert out.status != INFEASIBLE
+    assert out.status == FEASIBLE
     assert out.certificate is None
+    assert out.iterations <= 500
 
 
 NEARLY_SHARP = qubit_binary(1 - 2e-10, AXIS_Z)
@@ -728,6 +738,22 @@ def test_fixed_infeasible_cases_carry_checkable_certificates():
     # of the conjugate channel's dual, and that part alone is the proof
     env = conjugate(identity_channel(2))
     _check_preimage_certificate(env, A08, is_a_channel(identity_channel(2), A08))
+
+
+def test_every_compatible_grid_pair_is_found_within_eight_sweeps():
+    # unaccelerated sweeps approach a boundary point of the cone by a
+    # fixed factor per sweep and need up to 63 sweeps on these pairs
+    opts = SolverOptions(max_iters=8)
+    strengths = np.linspace(0.05, 1.0, GRID_POINTS)
+    for theta in GRID_ANGLES:
+        for s in strengths:
+            for t in strengths:
+                if busch_value(s, t, theta) > 1.0 - BOUNDARY_MARGIN:
+                    continue
+                out = find_joint_observable(
+                    qubit_binary(s, AXIS_Z), qubit_binary(t, tilted_axis(theta)), opts=opts
+                )
+                assert out.status == FEASIBLE, (s, t, theta)
 
 
 def test_no_compatible_grid_pair_is_ever_certified():
