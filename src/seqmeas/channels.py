@@ -18,11 +18,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT, as_complex, dagger, frob, herm_eig, sqrt_psd
+from .linalg import PSD_TOL, RANK_TOL, STATE_TOL, as_complex, dagger, frob, herm_eig, sqrt_psd
 from .povm import Label, Povm, as_label
 
 __all__ = [
-    "STATE_TOL",
     "KrausChannel",
     "ChoiMatrix",
     "StinespringForm",
@@ -40,11 +39,6 @@ __all__ = [
     "conjugate",
     "nondisturbing",
 ]
-
-# states are validated on entry this loosely; numerically produced density
-# matrices routinely carry 1e-12 dirt
-STATE_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
@@ -115,7 +109,7 @@ def identity_channel(dim: int) -> KrausChannel:
     return KrausChannel(dim, dim, (np.eye(dim, dtype=np.complex128),))
 
 
-def is_trace_preserving(c: KrausChannel, tol: float = DEFAULT.psd) -> bool:
+def is_trace_preserving(c: KrausChannel, tol: float = PSD_TOL) -> bool:
     total = sum(dagger(k) @ k for k in c.kraus)
     return frob(total - np.eye(c.dim_in)) <= tol * np.sqrt(c.dim_in)
 
@@ -203,7 +197,7 @@ def choi(c: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(m, c.dim_in, c.dim_out)
 
 
-def luders(a: Povm, tol: float = DEFAULT.psd) -> KrausChannel:
+def luders(a: Povm, tol: float = PSD_TOL) -> KrausChannel:
     """The instrument with Kraus operators sqrt(A(x)), one branch per outcome."""
     kraus = tuple(sqrt_psd(eff, tol) for eff in a.effects)
     partition = {lbl: (i,) for i, lbl in enumerate(a.labels)}
@@ -213,7 +207,7 @@ def luders(a: Povm, tol: float = DEFAULT.psd) -> KrausChannel:
 def classical_channel(
     m: Povm,
     readout_axes: Sequence[int] | None = None,
-    rank_tol: float = DEFAULT.rank,
+    rank_tol: float = RANK_TOL,
 ) -> KrausChannel:
     """Measure-and-prepare channel writing outcomes into a classical register.
 
@@ -271,7 +265,7 @@ def conjugate(c: KrausChannel) -> KrausChannel:
     return KrausChannel(c.dim_in, len(c.kraus), kraus)
 
 
-def nondisturbing(c: KrausChannel, b: Povm, tol: float = DEFAULT.psd) -> bool:
+def nondisturbing(c: KrausChannel, b: Povm, tol: float = PSD_TOL) -> bool:
     """Whether measuring b after the channel equals measuring b before it."""
     if c.dim_in != c.dim_out:
         raise ValueError("nondisturbance needs matching input and output spaces")

@@ -23,6 +23,7 @@ from .dilation import is_minimal, naimark_canonical, naimark_minimal, verify_dil
 from .feasibility import (
     FEASIBLE,
     INFEASIBLE,
+    UNDECIDED,
     DEFAULT_OPTIONS,
     FeasibilityError,
     NecessaryConditionError,
@@ -33,7 +34,7 @@ from .feasibility import (
     witness_povm,
 )
 from .harness import A_STRENGTH, B_STRENGTH, CHECK_NAMES, Report, CheckResult, run_checks
-from .linalg import frob, is_psd
+from .linalg import CHECK_TOL, QUBIT_TOL, RECOVERY_FLOOR, WITNESS_TOL, dagger, frob, is_psd
 from .povm import (
     AXIS_X,
     AXIS_Z,
@@ -43,16 +44,15 @@ from .povm import (
     Povm,
     bloch_vector,
     four_outcome_refinement,
-    is_sharp,
     qubit_binary,
     refinement_joint,
-    validate,
 )
 from .sequential import modified_observable, universal_channel, verify_sequential
 from .serialize import (
     SchemaError,
     channel_from_json,
     channel_to_json,
+    dilation_from_json,
     dilation_to_json,
     document_kind,
     outcome_to_json,
@@ -100,12 +100,12 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(tol=tol, max_iters=max_iters)
 
 
-def _status_exit(status: str) -> int:
-    if status == FEASIBLE:
-        return PASS
-    if status == INFEASIBLE:
-        return FAIL
-    return UNDECIDED_EXIT
+# a solver outcome's status as a check status and an exit code
+_VERDICTS = {
+    FEASIBLE: ("pass", PASS),
+    INFEASIBLE: ("fail", FAIL),
+    UNDECIDED: ("undecided", UNDECIDED_EXIT),
+}
 
 
 def _report(args, command: str, checks: list[CheckResult], inputs: dict) -> None:
@@ -150,7 +150,7 @@ def _validate_povm(p: Povm, tol: float) -> tuple[int, str, dict]:
     }
     if not psd_ok:
         return FAIL, "an effect has a negative eigenvalue", details
-    if norm_gap > tol:
+    if norm_gap > tol * math.sqrt(p.dim):
         return (
             FAIL,
             f"normalization fails: effects sum to I + defect of norm {norm_gap:.3e}",
@@ -162,7 +162,7 @@ def _validate_povm(p: Povm, tol: float) -> tuple[int, str, dict]:
 def cmd_validate(args) -> int:
     doc = _read_json(args.path)
     kind = document_kind(doc)
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else CHECK_TOL
     if kind == "povm":
         code, message, details = _validate_povm(povm_from_json(doc), tol)
     elif kind == "channel":
@@ -178,18 +178,14 @@ def cmd_validate(args) -> int:
         code = PASS if tp else FAIL
         message = "valid channel" if tp else "Kraus operators do not preserve the trace"
     else:
-        from .serialize import dilation_from_json
-
         d = dilation_from_json(doc)
-        v_ok = frob(np.conj(d.isometry.T) @ d.isometry - np.eye(d.isometry.shape[1])) <= tol
-        sharp_ok = is_sharp(d.sharp, tol) and validate(d.sharp, tol)
-        details = {
-            "kind": "dilation",
-            "dim_k": d.dim_k,
-            "isometry_ok": bool(v_ok),
-            "sharp_ok": bool(sharp_ok),
-        }
-        code = PASS if v_ok and sharp_ok else FAIL
+        # a dilation dilates V^dag A_hat(x) V by construction, so only the
+        # isometry and the sharp observable are on trial
+        v = d.isometry
+        dilated = Povm(d.dim, tuple((x, dagger(v) @ p @ v) for x, p in d.sharp.outcomes))
+        verified = verify_dilation(dilated, d, tol)
+        details = {"kind": "dilation", "dim_k": d.dim_k, "verified": verified}
+        code = PASS if verified else FAIL
         message = "valid dilation" if code == PASS else "dilation structure fails"
     print(f"{args.path}: {message}")
     _report(
@@ -204,7 +200,7 @@ def cmd_validate(args) -> int:
 # ------------------------------------------------------------------- joint
 
 
-def _unbiased_qubit_binary(p: Povm, tol: float = 1e-9):
+def _unbiased_qubit_binary(p: Povm, tol: float = QUBIT_TOL):
     """Sharpness and unit axis when p is (1/2)(I +- t n.sigma), else None."""
     if p.dim != 2 or len(p) != 2:
         return None
@@ -250,10 +246,10 @@ def cmd_joint(args) -> int:
     if out.status == FEASIBLE and args.witness_out:
         _write_json(args.witness_out, povm_to_json(witness_povm(out)))
         print(f"witness written to {args.witness_out}")
-    status = {"feasible": "pass", "infeasible": "fail"}.get(out.status, "undecided")
+    status, code = _VERDICTS[out.status]
     _report(args, "joint", [_check("joint-search", status, seconds,
                                    outcome_to_json(out) | {"tol": opts.tol})], inputs)
-    return _status_exit(out.status)
+    return code
 
 
 # --------------------------------------------------------------- universal
@@ -277,20 +273,19 @@ def cmd_universal(args) -> int:
         b = povm_from_json(_read_json(args.b_path))
         inputs[args.b_path] = _file_digest(args.b_path)
         start = time.perf_counter()
-        # a tight witness keeps the dilation route inside the 1e-8 budget
-        tight = SolverOptions(tol=min(opts.tol, 1e-10), max_iters=opts.max_iters)
+        # a tight witness keeps the dilation route inside CHECK_TOL
+        tight = SolverOptions(tol=min(opts.tol, WITNESS_TOL), max_iters=opts.max_iters)
         found = find_joint_observable(a, b, opts=tight)
         if found.status != FEASIBLE:
             print(f"joint search: {found.status} "
                   f"(residual {found.residual:.3e}); no recovery possible")
-            checks.append(_check(
-                "joint-search",
-                "fail" if found.status == INFEASIBLE else "undecided",
-                time.perf_counter() - start, outcome_to_json(found)))
+            status, code = _VERDICTS[found.status]
+            checks.append(_check("joint-search", status,
+                                 time.perf_counter() - start, outcome_to_json(found)))
             _report(args, "universal", checks, inputs)
-            return _status_exit(found.status)
+            return code
         b_prime = modified_observable(a, witness_povm(found))
-        verified = verify_sequential(uni, b_prime, b, tol=1e-8)
+        verified = verify_sequential(uni, b_prime, b, tol=CHECK_TOL)
         seconds = time.perf_counter() - start
         print(f"recovered observable verifies: {verified}")
         if out_dir:
@@ -298,7 +293,7 @@ def cmd_universal(args) -> int:
                         povm_to_json(b_prime))
         checks.append(_check("sequential-recovery",
                              "pass" if verified else "fail", seconds,
-                             {"verified": verified, "tolerance": 1e-8}))
+                             {"verified": verified, "tolerance": CHECK_TOL}))
         code = PASS if verified else FAIL
     _report(args, "universal", checks, inputs)
     return code
@@ -315,13 +310,12 @@ def cmd_conjugate_test(args) -> int:
     start = time.perf_counter()
     out = conjugate_is_b_channel(c, b, opts=opts)
     print(f"conjugate channel test: {out.status} (residual {out.residual:.3e})")
-    checks = [_check("conjugate-test",
-                     {"feasible": "pass", "infeasible": "fail"}.get(out.status, "undecided"),
-                     time.perf_counter() - start, outcome_to_json(out))]
-    code = _status_exit(out.status)
+    status, code = _VERDICTS[out.status]
+    checks = [_check("conjugate-test", status, time.perf_counter() - start,
+                     outcome_to_json(out))]
     if out.status == FEASIBLE:
         b_prime = witness_povm(out)
-        verified = verify_sequential(c, b_prime, b, tol=max(1e-6, 10 * opts.tol))
+        verified = verify_sequential(c, b_prime, b, tol=max(RECOVERY_FLOOR, 10 * opts.tol))
         print(f"recovered observable verifies: {verified}")
         if args.witness_out:
             _write_json(args.witness_out, povm_to_json(b_prime))
@@ -338,7 +332,7 @@ def cmd_conjugate_test(args) -> int:
 def cmd_nondisturb(args) -> int:
     c = channel_from_json(_read_json(args.channel_path))
     b = povm_from_json(_read_json(args.b_path))
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else CHECK_TOL
     quiet = nondisturbing(c, b, tol)
     print(f"nondisturbing: {quiet}")
     _report(args, "nondisturb",
@@ -392,9 +386,9 @@ def cmd_selftest(args) -> int:
 
 def _add_solver_flags(sub) -> None:
     sub.add_argument("--tol", type=float, default=None,
-                     help="feasibility tolerance (default 1e-8)")
+                     help=f"feasibility tolerance (default {DEFAULT_OPTIONS.tol:g})")
     sub.add_argument("--max-iters", type=int, default=None,
-                     help="sweep budget (default 50000)")
+                     help=f"sweep budget (default {DEFAULT_OPTIONS.max_iters})")
     sub.add_argument("--config", default=None,
                      help="JSON file with feas.tol / feas.max_iters keys")
 

@@ -16,8 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT, RANK_RCOND, as_complex, dagger, frob, range_isometry, sqrt_psd
-from .povm import Povm, is_sharp, validate
+from .linalg import (
+    CHECK_TOL, PSD_TOL, RANK_RCOND, RANK_TOL, as_complex, dagger, frob, range_isometry,
+    sqrt_psd,
+)
+from .povm import Label, Povm, is_sharp, validate
 
 __all__ = [
     "NaimarkDilation",
@@ -61,25 +64,30 @@ class ConnectingIsometry:
     dim_to: int
 
 
-def naimark_canonical(a: Povm, tol: float = DEFAULT.psd) -> NaimarkDilation:
+def _stacked(blocks: list[tuple[Label, np.ndarray]]) -> NaimarkDilation:
+    """The dilation V = (B_x stacked in order) with A_hat(x) the projector
+    onto the rows of B_x, so that V^dag A_hat(x) V = B_x^dag B_x."""
+    v = np.vstack([b for _, b in blocks])
+    dim_k = v.shape[0]
+    outcomes, row = [], 0
+    for lbl, b in blocks:
+        proj = np.zeros((dim_k, dim_k), dtype=np.complex128)
+        proj[row : row + len(b), row : row + len(b)] = np.eye(len(b))
+        outcomes.append((lbl, proj))
+        row += len(b)
+    return NaimarkDilation(dim_k, v, Povm(dim_k, tuple(outcomes)))
+
+
+def naimark_canonical(a: Povm, tol: float = PSD_TOL) -> NaimarkDilation:
     """Dilation on C^{#outcomes} (x) H via V psi = sum_x |x> (x) sqrt(A(x)) psi.
 
     Block x of the dilation space carries a full copy of H; the sharp effect
     for x is the projection onto that block.
     """
-    d, n = a.dim, len(a)
-    dim_k = n * d
-    v = np.zeros((dim_k, d), dtype=np.complex128)
-    outcomes = []
-    for pos, (lbl, eff) in enumerate(a.outcomes):
-        v[pos * d : (pos + 1) * d, :] = sqrt_psd(eff, tol)
-        proj = np.zeros((dim_k, dim_k), dtype=np.complex128)
-        proj[pos * d : (pos + 1) * d, pos * d : (pos + 1) * d] = np.eye(d)
-        outcomes.append((lbl, proj))
-    return NaimarkDilation(dim_k, v, Povm(dim_k, tuple(outcomes)))
+    return _stacked([(lbl, sqrt_psd(eff, tol)) for lbl, eff in a.outcomes])
 
 
-def naimark_minimal(a: Povm, rank_tol: float = DEFAULT.rank) -> NaimarkDilation:
+def naimark_minimal(a: Povm, rank_tol: float = RANK_TOL) -> NaimarkDilation:
     """Dilation on the direct sum of the effect ranges.
 
     Block x has dimension rank(A(x)); its coordinates are the range basis of
@@ -87,26 +95,13 @@ def naimark_minimal(a: Povm, rank_tol: float = DEFAULT.rank) -> NaimarkDilation:
     deterministic.  The result is minimal: the vectors A_hat(x) V e_i span
     the whole dilation space.
     """
-    d = a.dim
-    blocks = []
-    for lbl, eff in a.outcomes:
-        w = range_isometry(eff, rank_tol)
-        blocks.append((lbl, dagger(w) @ sqrt_psd(eff)))
-    dim_k = sum(b.shape[0] for _, b in blocks)
-    v = np.zeros((dim_k, d), dtype=np.complex128)
-    outcomes = []
-    row = 0
-    for lbl, b in blocks:
-        r = b.shape[0]
-        v[row : row + r, :] = b
-        proj = np.zeros((dim_k, dim_k), dtype=np.complex128)
-        proj[row : row + r, row : row + r] = np.eye(r)
-        outcomes.append((lbl, proj))
-        row += r
-    return NaimarkDilation(dim_k, v, Povm(dim_k, tuple(outcomes)))
+    return _stacked([
+        (lbl, dagger(range_isometry(eff, rank_tol)) @ sqrt_psd(eff))
+        for lbl, eff in a.outcomes
+    ])
 
 
-def verify_dilation(a: Povm, d: NaimarkDilation, tol: float = DEFAULT.psd) -> bool:
+def verify_dilation(a: Povm, d: NaimarkDilation, tol: float = PSD_TOL) -> bool:
     """Check isometry, sharpness and the marginal property V^dag A_hat V = A."""
     v = d.isometry
     if v.shape != (d.dim_k, a.dim) or d.sharp.labels != a.labels:
@@ -126,7 +121,7 @@ def _spanning_matrix(d: NaimarkDilation) -> np.ndarray:
     return np.hstack([proj @ d.isometry for _, proj in d.sharp.outcomes])
 
 
-def is_minimal(d: NaimarkDilation, rank_tol: float = DEFAULT.rank) -> bool:
+def is_minimal(d: NaimarkDilation, rank_tol: float = RANK_TOL) -> bool:
     """Whether the spanning vectors A_hat(x) V e_i fill the dilation space."""
     sv = np.linalg.svd(_spanning_matrix(d), compute_uv=False)
     return len(sv) >= d.dim_k and bool(sv[d.dim_k - 1] > rank_tol)
@@ -135,7 +130,7 @@ def is_minimal(d: NaimarkDilation, rank_tol: float = DEFAULT.rank) -> bool:
 def connecting_isometry(
     first: NaimarkDilation,
     second: NaimarkDilation,
-    tol: float = 1e-8,
+    tol: float = CHECK_TOL,
 ) -> ConnectingIsometry:
     """The isometry J with J A_hat1(x) = A_hat2(x) J and J V1 = V2.
 

@@ -58,7 +58,9 @@ just off the face, and the face point nearest it keeps a residual
 bounded from the eigenvalues cut.
 Certificates are tried at sweeps 1, 2, 4, 8, ..., and a run stops
 infeasible once the bound comes within `infeasible_ratio` of the best
-residual.  A run that stalls without a certificate is undecided.
+residual.  A run that stalls without a certificate is undecided.  Only
+`tol` and `max_iters` are options; the stall and certificate settings
+are constants of `SolverOptions`, and other tolerances come from `linalg`.
 
 The cone projection runs last in every sweep, so each logged iterate is
 exactly positive and on the face, and the residual is purely the affine
@@ -74,11 +76,15 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .channels import KrausChannel, conjugate, heisenberg_apply
-from .linalg import CERTIFICATE_SLACK, DEFAULT, RANK_RCOND, dagger, frob
+from .linalg import (
+    BOUNDARY_SLACK, CERTIFICATE_SLACK, CHECK_TOL, NECESSARY_TOL, RANK_RCOND, RANK_TOL,
+    dagger, frob,
+)
 from .povm import SIGMA_X, SIGMA_Z, Label, Povm
 
 __all__ = [
@@ -104,9 +110,6 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNDECIDED = "undecided"
 
-# cheap necessary conditions are checked to this absolute scale
-NECESSARY_TOL = 1e-7
-
 
 class NecessaryConditionError(ValueError):
     """A cheap necessary condition rules the problem out before solving."""
@@ -118,21 +121,22 @@ class FeasibilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the alternating-projection solver.
+    """Options of the alternating-projection solver: `tol` and `max_iters`.
 
     A run stops feasible as soon as the residual reaches `tol`.  It
     stops infeasible when a Farkas certificate proves a lower bound on
     the residual of at least the best residual over `infeasible_ratio`.
     It stops undecided when the best residual has not improved by more
     than `stall_delta` for `stall_window` consecutive sweeps, or when it
-    runs out of `max_iters`.
+    runs out of `max_iters`.  The last three are fixed class constants,
+    readable on every instance.
     """
 
-    tol: float = 1e-8
+    tol: float = CHECK_TOL
     max_iters: int = 50_000
-    stall_window: int = 500
-    stall_delta: float = 1e-12
-    infeasible_ratio: float = 10.0
+    stall_window: ClassVar[int] = 500
+    stall_delta: ClassVar[float] = 1e-12
+    infeasible_ratio: ClassVar[float] = 10.0
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -277,7 +281,7 @@ class _Marginals:
 
 
 def _kernel_cols(
-    ms: np.ndarray, rank_tol: float = DEFAULT.rank
+    ms: np.ndarray, rank_tol: float = RANK_TOL
 ) -> list[tuple[np.ndarray, float]]:
     """Orthonormal bases of the (toleranced) kernels of stacked Hermitian
     matrices, each with the summed magnitude of the eigenvalues it cuts."""
@@ -396,11 +400,34 @@ def _certify(sets, zs, pins, reach: float):
     return ys, gap / norm
 
 
-def _run_sweeps(x0: np.ndarray, pins, reach: float, sets, opts: SolverOptions):
-    x_in = np.array(x0, dtype=complex)
+def _solve(
+    grid: tuple[int, ...], dim: int, families, opts: SolverOptions, labels
+) -> FeasibilityOutcome:
+    """Search for PSD `dim`-blocks on `grid` meeting every `(keep, targets,
+    kraus)` family of marginal constraints (see `_Marginals`)."""
+    sets = [_Marginals(grid, *family) for family in families]
+    pins, reach = _support_pins(sets, dim)
+    x_in = np.zeros((math.prod(grid), dim, dim), dtype=complex)
     best = math.inf
     best_x = x_in
     history: list[float] = []
+
+    def outcome(status: str, reason: str, sweeps: int, cert=None) -> FeasibilityOutcome:
+        feasible = status == FEASIBLE
+        return FeasibilityOutcome(
+            status=status,
+            residual=best,
+            iterations=sweeps,
+            reason=reason,
+            witness=tuple(best_x) if feasible else None,
+            witness_labels=labels if feasible else None,
+            infeasibility_floor=None if cert is None else cert[1],
+            certificate=None if cert is None else tuple(
+                y.reshape(cset.targets.shape) for cset, y in zip(sets, cert[0])
+            ),
+            residual_history=tuple(history),
+        )
+
     stall = 0
     last = math.inf
     # Anderson memory, as real vectors: the differences of successive
@@ -424,13 +451,13 @@ def _run_sweeps(x0: np.ndarray, pins, reach: float, sets, opts: SolverOptions):
             best_x = x
         history.append(best)
         if best <= opts.tol:
-            return FEASIBLE, "tol", best_x, best, sweep, history, None
+            return outcome(FEASIBLE, "tol", sweep)
         if sweep & (sweep - 1) == 0:
             cert = _certify(sets, zs, pins, reach)
             if cert is not None and cert[1] * opts.infeasible_ratio >= best:
-                return INFEASIBLE, "certificate", best_x, best, sweep, history, cert
+                return outcome(INFEASIBLE, "certificate", sweep, cert)
         if stall >= opts.stall_window:
-            return UNDECIDED, "stall", best_x, best, sweep, history, None
+            return outcome(UNDECIDED, "stall", sweep)
         out = x.view(float).ravel()
         step = out - x_in.view(float).ravel()
         if res > last:
@@ -444,34 +471,7 @@ def _run_sweeps(x0: np.ndarray, pins, reach: float, sets, opts: SolverOptions):
         if d_steps:
             gamma = np.linalg.lstsq(np.stack(d_steps, axis=1), step, rcond=None)[0]
             x_in = x - (np.stack(d_outs, axis=1) @ gamma).view(complex).reshape(x.shape)
-    return UNDECIDED, "budget", best_x, best, opts.max_iters, history, None
-
-
-def _solve(
-    grid: tuple[int, ...], dim: int, families, opts: SolverOptions, labels
-) -> FeasibilityOutcome:
-    """Search for PSD `dim`-blocks on `grid` meeting every `(keep, targets,
-    kraus)` family of marginal constraints (see `_Marginals`)."""
-    sets = [_Marginals(grid, *family) for family in families]
-    pins, reach = _support_pins(sets, dim)
-    x0 = np.zeros((math.prod(grid), dim, dim), dtype=complex)
-    status, reason, x, res, iters, history, cert = _run_sweeps(
-        x0, pins, reach, sets, opts
-    )
-    feasible = status == FEASIBLE
-    return FeasibilityOutcome(
-        status=status,
-        residual=res,
-        iterations=iters,
-        reason=reason,
-        witness=tuple(x) if feasible else None,
-        witness_labels=labels if feasible else None,
-        infeasibility_floor=None if cert is None else cert[1],
-        certificate=None if cert is None else tuple(
-            y.reshape(cset.targets.shape) for cset, y in zip(sets, cert[0])
-        ),
-        residual_history=tuple(history),
-    )
+    return outcome(UNDECIDED, "budget", opts.max_iters)
 
 
 # --- channel questions -----------------------------------------------------
@@ -637,7 +637,7 @@ def orthogonal_joint_observable(s: float, t: float) -> Povm:
     """
     _check_strength("s", s)
     _check_strength("t", t)
-    if s * s + t * t > 1.0 + 1e-12:
+    if s * s + t * t > 1.0 + BOUNDARY_SLACK:
         raise ValueError("no transverse joint observable: s^2 + t^2 exceeds one")
     eye = np.eye(2, dtype=complex)
     outcomes = []

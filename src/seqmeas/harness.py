@@ -48,7 +48,7 @@ from .feasibility import (
     recover_b_prime,
     witness_povm,
 )
-from .linalg import dagger, frob
+from .linalg import WITNESS_TOL, dagger, frob
 from .povm import (
     AXIS_X,
     AXIS_Z,
@@ -261,7 +261,7 @@ def _recovery_cases(seed: int, opts: SolverOptions) -> list[tuple[str, Povm, Pov
          qubit_binary(B_STRENGTH, AXIS_X)),
     ]
     rng = np.random.default_rng(seed)
-    tight = SolverOptions(tol=1e-10, max_iters=opts.max_iters)
+    tight = SolverOptions(tol=WITNESS_TOL, max_iters=opts.max_iters)
     found = 0
     while found < 5:
         t = float(rng.uniform(0.1, 0.95))

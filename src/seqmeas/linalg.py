@@ -1,8 +1,14 @@
-"""Dense complex linear algebra primitives shared by every other module.
+"""Dense complex linear algebra primitives, and the one home of the
+tolerances the other modules share.
 
 All operators are numpy arrays of dtype complex128.  Matrices are small
 (dimension a few dozen at most), so everything here is plain dense algebra;
 no attempt is made to exploit sparsity.
+
+Callers pass tolerances explicitly; the constants below are the defaults.
+They chain: a joint witness solved to `WITNESS_TOL` keeps the dilation
+route of `modified_observable` inside `CHECK_TOL`, at which
+`verify_sequential` accepts the recovered observable.
 """
 
 from __future__ import annotations
@@ -12,10 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT",
+    "HERMITICITY_TOL",
+    "PSD_TOL",
+    "RANK_TOL",
     "RANK_RCOND",
     "CERTIFICATE_SLACK",
+    "CHECK_TOL",
+    "WITNESS_TOL",
+    "NECESSARY_TOL",
+    "MARGINAL_TOL",
+    "STATE_TOL",
+    "QUBIT_TOL",
+    "RECOVERY_FLOOR",
+    "BOUNDARY_SLACK",
     "HermitianEigen",
     "as_complex",
     "dagger",
@@ -28,32 +43,39 @@ __all__ = [
     "range_isometry",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Default numerical tolerances.
-
-    Callers pass tolerances explicitly; these values are the single place
-    the defaults are defined.
-    """
-
-    hermiticity: float = 1e-9
-    psd: float = 1e-9
-    rank: float = 1e-9
-
-
-DEFAULT = Tolerances()
-
+# Hermiticity, positivity and rank cuts on single matrices
+HERMITICITY_TOL = 1e-9
+PSD_TOL = 1e-9
+RANK_TOL = 1e-9
 # singular values below this fraction of the largest count as zero when a
 # span or a pseudo-inverse is formed
 RANK_RCOND = 1e-10
-
 # roundoff allowance for a Farkas certificate y of an infeasible system
 # L x = b over a cone: its gap -<y, b> must exceed this fraction of
 # |y| |b| before the certificate counts as a proof (a check that rebuilds
 # L*y independently may also let its eigenvalues dip this fraction of
 # its norm below zero)
 CERTIFICATE_SLACK = 1e-12
+# the accuracy a yes-answer is held to: the solver's stopping residual and
+# the default of every check that accepts a constructed object
+CHECK_TOL = 1e-8
+# the tight joint solve whose witness feeds the dilation route
+WITNESS_TOL = 1e-10
+# cheap necessary conditions are checked to this absolute scale
+NECESSARY_TOL = 1e-7
+# how far a joint's leading marginal may sit from the target observable
+# before the sequential construction refuses it
+MARGINAL_TOL = 1e-6
+# states are validated on entry this loosely; numerically produced density
+# matrices routinely carry 1e-12 dirt
+STATE_TOL = 1e-8
+# how far a qubit binary may sit from (1/2)(I +- t n.sigma) with |n| = 1
+QUBIT_TOL = 1e-9
+# a recovered observable is checked no tighter than this, because a solver
+# witness meets its constraints only to its residual
+RECOVERY_FLOOR = 1e-6
+# roundoff allowance on the closed-form boundary s^2 + t^2 <= 1
+BOUNDARY_SLACK = 1e-12
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -122,7 +144,7 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * (np.abs(lead) / lead)
 
 
-def herm_eig(m: np.ndarray, tol: float = DEFAULT.hermiticity) -> HermitianEigen:
+def herm_eig(m: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEigen:
     """Eigendecomposition with a Hermiticity check and deterministic phases."""
     m = as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -133,7 +155,7 @@ def herm_eig(m: np.ndarray, tol: float = DEFAULT.hermiticity) -> HermitianEigen:
     return HermitianEigen(vals, _fix_phases(vecs))
 
 
-def sqrt_psd(m: np.ndarray, tol: float = DEFAULT.psd) -> np.ndarray:
+def sqrt_psd(m: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix.
 
     Eigenvalues in [-tol, tol] are treated as exact zeros, because the
@@ -150,7 +172,7 @@ def sqrt_psd(m: np.ndarray, tol: float = DEFAULT.psd) -> np.ndarray:
     return (out + dagger(out)) / 2
 
 
-def is_psd(m: np.ndarray, tol: float = DEFAULT.psd) -> bool:
+def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
     """Whether ``m`` is Hermitian and positive semidefinite within ``tol``."""
     m = as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -161,7 +183,7 @@ def is_psd(m: np.ndarray, tol: float = DEFAULT.psd) -> bool:
     return bool(vals[0] >= -tol)
 
 
-def range_isometry(m: np.ndarray, rank_tol: float = DEFAULT.rank) -> np.ndarray:
+def range_isometry(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the range of a PSD matrix, as matrix columns.
 
     Columns are ordered by descending eigenvalue; eigenvalues at or below

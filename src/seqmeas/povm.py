@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT, as_complex, frob, is_psd
+from .linalg import PSD_TOL, QUBIT_TOL, as_complex, frob, is_psd
 
 __all__ = [
     "Povm",
@@ -122,7 +122,7 @@ class Povm:
         return len(self.outcomes)
 
 
-def validate(p: Povm, tol: float = DEFAULT.psd) -> bool:
+def validate(p: Povm, tol: float = PSD_TOL) -> bool:
     """True iff every effect is PSD within tol and the effects sum to identity.
 
     The normalization defect is measured in Frobenius norm against
@@ -137,12 +137,12 @@ def validate(p: Povm, tol: float = DEFAULT.psd) -> bool:
     return frob(total - np.eye(p.dim)) <= tol * math.sqrt(p.dim)
 
 
-def is_sharp(p: Povm, tol: float = DEFAULT.psd) -> bool:
+def is_sharp(p: Povm, tol: float = PSD_TOL) -> bool:
     """True iff every effect is idempotent (a projection) within tol."""
     return all(frob(eff @ eff - eff) <= tol for eff in p.effects)
 
 
-def commutes(p: Povm, q: Povm, tol: float = DEFAULT.psd) -> bool:
+def commutes(p: Povm, q: Povm, tol: float = PSD_TOL) -> bool:
     """True iff every effect of p commutes with every effect of q within tol."""
     if p.dim != q.dim:
         raise ValueError("observables act on different spaces")
@@ -198,7 +198,7 @@ def post_process(
     p: Povm,
     kernel: np.ndarray,
     labels: Sequence | None = None,
-    tol: float = DEFAULT.psd,
+    tol: float = PSD_TOL,
 ) -> Povm:
     """Classically post-process an observable with a stochastic kernel.
 
@@ -223,7 +223,7 @@ def post_process(
     return Povm(p.dim, tuple(zip(labels, new_effects)))
 
 
-def effects_close(p: Povm, q: Povm, tol: float = DEFAULT.psd) -> bool:
+def effects_close(p: Povm, q: Povm, tol: float = PSD_TOL) -> bool:
     """Entrywise effect agreement under matched labels."""
     if p.dim != q.dim or p.labels != q.labels:
         return False
@@ -260,7 +260,7 @@ def qubit_binary(t: float, axis: Sequence[float]) -> Povm:
     if not 0 < t <= 1:
         raise ValueError(f"sharpness must lie in (0, 1], got {t}")
     n = np.asarray(axis, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
+    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > QUBIT_TOL:
         raise ValueError("axis must be a unit vector in R^3")
     pointing = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     eye = np.eye(2, dtype=np.complex128)

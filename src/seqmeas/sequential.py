@@ -33,7 +33,7 @@ from .dilation import (
     naimark_canonical,
     naimark_minimal,
 )
-from .linalg import DEFAULT, dagger, frob
+from .linalg import CHECK_TOL, MARGINAL_TOL, RANK_TOL, dagger, frob
 from .povm import Povm, effects_close, marginal
 
 __all__ = [
@@ -46,12 +46,7 @@ __all__ = [
     "sequential_scheme",
 ]
 
-# how far the joint observable's leading marginal may sit from the target
-# observable before the construction refuses to proceed
-MARGINAL_TOL = 1e-6
-
-
-def universal_channel(a: Povm, rank_tol: float = DEFAULT.rank) -> KrausChannel:
+def universal_channel(a: Povm, rank_tol: float = RANK_TOL) -> KrausChannel:
     """Instrument with Kraus operators A_hat(x) V over the minimal dilation.
 
     Output lives on the dilation space; the branch partition is one Kraus
@@ -105,7 +100,7 @@ def _joint_dilation_pieces(
     return naimark_minimal(a), upstairs, b_hat
 
 
-def modified_observable(a: Povm, joint: Povm, tol: float = 1e-8) -> Povm:
+def modified_observable(a: Povm, joint: Povm, tol: float = CHECK_TOL) -> Povm:
     """The observable B' on the universal channel's output implementing the
     joint's other marginal.
 
@@ -121,7 +116,7 @@ def modified_observable(a: Povm, joint: Povm, tol: float = 1e-8) -> Povm:
     return Povm(mini.dim_k, outcomes)
 
 
-def compensating_channel(a: Povm, joint: Povm, tol: float = 1e-8) -> KrausChannel:
+def compensating_channel(a: Povm, joint: Povm, tol: float = CHECK_TOL) -> KrausChannel:
     """Classical readout of the modified observable.
 
     Composing this channel after ``universal_channel(a)`` reproduces the
@@ -131,7 +126,7 @@ def compensating_channel(a: Povm, joint: Povm, tol: float = 1e-8) -> KrausChanne
 
 
 def verify_sequential(
-    channel: KrausChannel, b_prime: Povm, b: Povm, tol: float = 1e-8
+    channel: KrausChannel, b_prime: Povm, b: Povm, tol: float = CHECK_TOL
 ) -> bool:
     """Whether measuring b_prime after the channel measures b on the input."""
     if b_prime.dim != channel.dim_out or b.dim != channel.dim_in:
@@ -172,7 +167,7 @@ class SequentialScheme:
     implemented: Povm
 
 
-def sequential_scheme(a: Povm, joint: Povm, tol: float = 1e-8) -> SequentialScheme:
+def sequential_scheme(a: Povm, joint: Povm, tol: float = CHECK_TOL) -> SequentialScheme:
     """Bundle the universal implementation of a joint observable."""
     channel = universal_channel(a)
     second = modified_observable(a, joint, tol)

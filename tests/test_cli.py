@@ -7,14 +7,17 @@ import pytest
 
 from seqmeas.channels import KrausChannel, luders
 from seqmeas.cli import main
+from seqmeas.dilation import NaimarkDilation, naimark_minimal
 from seqmeas.povm import (
     AXIS_X,
     AXIS_Z,
+    Povm,
     effects_close,
     four_outcome_refinement,
     qubit_binary,
+    validate,
 )
-from seqmeas.serialize import channel_to_json, povm_from_json, povm_to_json
+from seqmeas.serialize import channel_to_json, dilation_to_json, povm_from_json, povm_to_json
 
 A08 = qubit_binary(0.8, AXIS_Z)
 B06 = qubit_binary(0.6, AXIS_X)
@@ -46,6 +49,32 @@ def test_validate_names_the_normalization_defect(files, capsys):
         rec["matrix"] = [[[2 * re, 2 * im] for re, im in row] for row in rec["matrix"]]
     assert main(["validate", write("bad.json", doubled)]) == 1
     assert "normalization" in capsys.readouterr().out
+
+
+def test_validate_judges_normalization_like_the_library(files):
+    # effects summing to (1 + 0.75e-8) I on C^4 miss the identity by 1.5e-8
+    # in Frobenius norm, inside tol * sqrt(dim) = 2e-8
+    _, write = files
+    scale = 1 + 0.75e-8
+    p = Povm(4, (((0,), 0.25 * scale * np.eye(4)), ((1,), 0.75 * scale * np.eye(4))))
+    assert validate(p, 1e-8)
+    assert main(["validate", write("p.json", povm_to_json(p)), "--tol", "1e-8"]) == 0
+
+
+@pytest.mark.parametrize("spoil", ["isometry", "sharp"])
+def test_validate_rejects_a_broken_dilation(files, capsys, spoil):
+    tmp, write = files
+    d = naimark_minimal(A08)
+    if spoil == "isometry":
+        d = NaimarkDilation(d.dim_k, 1.01 * d.isometry, d.sharp)
+    else:
+        half = 0.5 * np.eye(d.dim_k)
+        d = NaimarkDilation(d.dim_k, d.isometry, Povm(d.dim_k, ((lbl, half) for lbl in d.sharp.labels)))
+    report = tmp / "report.json"
+    path = write("d.json", dilation_to_json(d))
+    assert main(["validate", path, "--json-out", str(report)]) == 1
+    assert "dilation structure fails" in capsys.readouterr().out
+    assert json.loads(report.read_text())["checks"][0]["details"]["verified"] is False
 
 
 def test_validate_rejects_lossy_channels(files):

@@ -1,0 +1,16 @@
+"""Every name a seqmeas module lists in ``__all__`` exists in it."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import seqmeas
+
+MODULES = ["seqmeas"] + [f"seqmeas.{m.name}" for m in pkgutil.iter_modules(seqmeas.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

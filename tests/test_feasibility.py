@@ -1,5 +1,6 @@
 """Tests for the feasibility solvers: channel questions, joint searches, recovery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -430,22 +431,31 @@ def test_budget_exhaustion_is_reported_as_undecided():
     assert out.iterations == 5
 
 
-def _rank_one_pair(draw: int) -> tuple[Povm, Povm]:
-    """The marginals of the draw-th Wishart joint at seed 7 (d = 3, 2 x 3
-    outcomes, one column each): compatible by construction, with effects
-    of rank 2 whose joint blocks have rank one inside their supports, so
-    the solutions sit on a face the pins do not cut out."""
-    rng = np.random.default_rng(7)
-    for _ in range(draw):
-        g = rng.normal(size=(6, 3, 1)) + 1j * rng.normal(size=(6, 3, 1))
+def _wishart_pair(g: np.ndarray, na: int, nb: int) -> tuple[Povm, Povm]:
+    """The marginals of the joint whose na x nb blocks (row-major) are
+    g_k g_k^dag, rescaled by S^(-1/2) on both sides for their sum S:
+    compatible by construction, with joint blocks of rank at most the
+    column count of g."""
+    d = g.shape[1]
     blocks = g @ np.conj(np.swapaxes(g, 1, 2))
     w, v = np.linalg.eigh(blocks.sum(axis=0))
     isq = (v * w**-0.5) @ np.conj(v.T)
     m = isq @ blocks @ isq
-    m = ((m + np.conj(np.swapaxes(m, 1, 2))) / 2).reshape(2, 3, 3, 3)
-    a = Povm(3, tuple(((x,), m[x].sum(axis=0)) for x in range(2)))
-    b = Povm(3, tuple(((y,), m[:, y].sum(axis=0)) for y in range(3)))
+    m = ((m + np.conj(np.swapaxes(m, 1, 2))) / 2).reshape(na, nb, d, d)
+    a = Povm(d, tuple(((x,), m[x].sum(axis=0)) for x in range(na)))
+    b = Povm(d, tuple(((y,), m[:, y].sum(axis=0)) for y in range(nb)))
     return a, b
+
+
+def _rank_one_pair(draw: int) -> tuple[Povm, Povm]:
+    """The marginals of the draw-th Wishart joint at seed 7 (d = 3, 2 x 3
+    outcomes, one column each): effects of rank 2 whose joint blocks have
+    rank one inside their supports, so the solutions sit on a face the
+    pins do not cut out."""
+    rng = np.random.default_rng(7)
+    for _ in range(draw):
+        g = rng.normal(size=(6, 3, 1)) + 1j * rng.normal(size=(6, 3, 1))
+    return _wishart_pair(g, 2, 3)
 
 
 @pytest.mark.parametrize("draw", range(1, 7))
@@ -458,6 +468,27 @@ def test_rank_one_joint_is_decided_feasible(draw):
     assert out.status == FEASIBLE
     assert out.certificate is None
     assert out.iterations <= 500
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.integers(2, 4), st.integers(2, 3), st.integers(2, 3), st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_compatible_rank_deficient_pairs_are_never_refuted(d, na, nb, cols, seed):
+    # the joint search and, after the universal channel of a, the search
+    # for the later observable recovering b: both have solutions, so
+    # neither may end infeasible or produce a certificate
+    rng = np.random.default_rng(seed)
+    shape = (na * nb, d, cols)
+    a, b = _wishart_pair(rng.normal(size=shape) + 1j * rng.normal(size=shape), na, nb)
+    tight = SolverOptions(tol=1e-10)
+    for out in (
+        find_joint_observable(a, b, opts=tight),
+        conjugate_is_b_channel(universal_channel(a), b, opts=tight),
+    ):
+        assert out.status != INFEASIBLE
+        assert out.certificate is None
 
 
 NEARLY_SHARP = qubit_binary(1 - 2e-10, AXIS_Z)
@@ -500,6 +531,14 @@ def test_witness_povm_requires_a_labeled_witness():
 def test_default_options():
     assert DEFAULT_OPTIONS.tol == 1e-8
     assert DEFAULT_OPTIONS.max_iters == 50_000
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tol", "max_iters"]
+    # the stall and certificate settings are constants, yet stay readable
+    # on an instance
+    assert DEFAULT_OPTIONS.stall_window == 500
+    assert DEFAULT_OPTIONS.stall_delta == 1e-12
+    assert DEFAULT_OPTIONS.infeasible_ratio == 10.0
+    with pytest.raises(TypeError):
+        SolverOptions(stall_window=1)
 
 
 # ------------------------------------------------- recovery consistency
