@@ -97,7 +97,11 @@ def _solver_options(args) -> SolverOptions:
         tol = args.tol
     if args.max_iters is not None:
         max_iters = args.max_iters
-    return SolverOptions(tol=tol, max_iters=max_iters)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+        raise SchemaError("feas.tol", f"expected a finite number >= 0, got {tol!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
+        raise SchemaError("feas.max_iters", f"expected an integer >= 1, got {max_iters!r}")
+    return SolverOptions(tol=float(tol), max_iters=max_iters)
 
 
 # a solver outcome's status as a check status and an exit code
@@ -273,7 +277,7 @@ def cmd_universal(args) -> int:
         b = povm_from_json(_read_json(args.b_path))
         inputs[args.b_path] = _file_digest(args.b_path)
         start = time.perf_counter()
-        # a tight witness keeps the dilation route inside CHECK_TOL
+        # a tight witness keeps the recovered B' inside CHECK_TOL
         tight = SolverOptions(tol=min(opts.tol, WITNESS_TOL), max_iters=opts.max_iters)
         found = find_joint_observable(a, b, opts=tight)
         if found.status != FEASIBLE:

@@ -63,7 +63,6 @@ from .povm import (
     validate,
 )
 from .sequential import (
-    _exact_first_marginal,
     compensating_channel,
     modified_observable,
     universal_channel,
@@ -401,11 +400,10 @@ def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dic
     a = qubit_binary(A_STRENGTH, AXIS_Z)
     uni = universal_channel(a)
     mini = naimark_minimal(a)
-    worst_aux = worst_factor = worst_witness = 0.0
+    worst_aux = worst_factor = worst_witness = worst_b_prime = 0.0
     witnesses_valid = True
     for name, joint, b in _recovery_cases(seed, opts):
-        polished = _exact_first_marginal(joint, a)
-        cano = naimark_canonical(polished)
+        cano = naimark_canonical(joint)
         upstairs = NaimarkDilation(
             cano.dim_k, cano.isometry, marginal(cano.sharp, 0)
         )
@@ -415,6 +413,10 @@ def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dic
             for (x_lbl,), a_hat in mini.sharp.outcomes:
                 want = m_hat @ j if m_lbl[0] == x_lbl else 0.0
                 worst_aux = max(worst_aux, frob(m_hat @ j @ a_hat - want))
+        # the closed-form B' is the sharp readout compressed through J
+        b_hat = marginal(cano.sharp, tuple(range(1, joint.arity)))
+        for e, f in zip(modified_observable(a, joint).effects, b_hat.effects):
+            worst_b_prime = max(worst_b_prime, frob(e - dagger(j) @ f @ j))
         # measure-and-prepare for b factors through the universal channel
         gamma = compensating_channel(a, joint)
         readout = classical_channel(b)
@@ -434,12 +436,14 @@ def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dic
     witnesses_valid = witnesses_valid and validate(recovered, tol=1e-6)
     ok = (
         worst_aux <= 1e-9
+        and worst_b_prime <= 1e-9
         and worst_factor <= 1e-9
         and witnesses_valid
         and worst_witness <= 1e-6
     )
     return ("pass" if ok else "fail"), {
         "worst_auxiliary_residual": worst_aux,
+        "worst_b_prime_compression_gap": worst_b_prime,
         "worst_factorization_residual": worst_factor,
         "worst_witness_marginal_gap": worst_witness,
         "witnesses_valid": witnesses_valid,

@@ -6,8 +6,8 @@ All operators are numpy arrays of dtype complex128.  Matrices are small
 no attempt is made to exploit sparsity.
 
 Callers pass tolerances explicitly; the constants below are the defaults.
-They chain: a joint witness solved to `WITNESS_TOL` keeps the dilation
-route of `modified_observable` inside `CHECK_TOL`, at which
+They chain: a joint witness solved to `WITNESS_TOL` keeps the closed-form
+B' of `modified_observable` inside `CHECK_TOL`, at which
 `verify_sequential` accepts the recovered observable.
 """
 
@@ -59,7 +59,7 @@ CERTIFICATE_SLACK = 1e-12
 # the accuracy a yes-answer is held to: the solver's stopping residual and
 # the default of every check that accepts a constructed object
 CHECK_TOL = 1e-8
-# the tight joint solve whose witness feeds the dilation route
+# the tight joint solve whose witness feeds `modified_observable`
 WITNESS_TOL = 1e-10
 # cheap necessary conditions are checked to this absolute scale
 NECESSARY_TOL = 1e-7

@@ -3,16 +3,19 @@
 The universal channel of an observable A is the instrument built on A's
 minimal Naimark dilation (K, A_hat, V), with one Kraus operator A_hat(x) V
 per outcome.  Measuring A this way keeps enough coherence that any
-observable B jointly measurable with A can still be recovered afterwards:
-given a joint observable M with first marginal A, compressing the sharp
-dilation of M through the connecting isometry J yields a modified
-observable B' on K with
+observable B jointly measurable with A can still be recovered afterwards.
+Given a joint observable M with first marginal A, write W_x = R_x^dag
+sqrt(A(x)) for block x of the dilation isometry (R_x a basis of the range
+of A(x)).  The modified observable B' on K is block-diagonal, with blocks
+B'_x(y) = W_x^+dag M(x, y) W_x^+, and
 
-    universal_channel(A)^* ( B'(y) ) = B(y),
+    universal_channel(A)^* ( B'(y) ) = sum_x W_x^dag B'_x(y) W_x = B(y),
 
 so the pair (first measure A's instrument, then measure B') reproduces the
-joint statistics of M.  The compensating channel is the classical readout
-of B'.
+joint statistics of M.  This closed form is the compression J^dag B_hat J
+of the sharp dilation of M through the isometry J connecting the two
+dilations (see :func:`dilation.connecting_isometry`), without solving for
+J.  The compensating channel is the classical readout of B'.
 """
 
 from __future__ import annotations
@@ -27,12 +30,7 @@ from .channels import (
     heisenberg_apply,
     heisenberg_branch,
 )
-from .dilation import (
-    NaimarkDilation,
-    connecting_isometry,
-    naimark_canonical,
-    naimark_minimal,
-)
+from .dilation import naimark_minimal
 from .linalg import CHECK_TOL, MARGINAL_TOL, RANK_TOL, dagger, frob
 from .povm import Povm, effects_close, marginal
 
@@ -58,71 +56,55 @@ def universal_channel(a: Povm, rank_tol: float = RANK_TOL) -> KrausChannel:
     return KrausChannel(a.dim, d.dim_k, kraus, partition)
 
 
-def _exact_first_marginal(joint: Povm, a: Povm) -> Povm:
-    """Project the joint onto the affine set of exact leading marginals.
+def modified_observable(a: Povm, joint: Povm) -> Povm:
+    """The observable B' on the universal channel's output implementing the
+    joint's other marginal.
 
-    The correction spreads each row-sum defect evenly over the row, which is
-    the orthogonal projection; it keeps solver witnesses from leaking their
-    residual into the dilation step.
+    B' is zero off the blocks of the minimal dilation of ``a``; on block x
+    it is S_x^(-1/2) W_x^+dag M(x, y) W_x^+ S_x^(-1/2), where S_x, the sum
+    over y of W_x^+dag M(x, y) W_x^+, is I when the joint meets A exactly,
+    so B' sums to I however far a solver witness misses its marginal.  It
+    equals J^dag B_hat(y) J for the sharp readout B_hat of the joint's
+    canonical dilation and the isometry J connecting the two dilations.
     """
-    groups: dict[int, list[int]] = {}
-    for i, lbl in enumerate(joint.labels):
-        groups.setdefault(lbl[0], []).append(i)
-    effects = list(joint.effects)
-    for (x_lbl,), target in zip(a.labels, a.effects):
-        idx = groups[x_lbl]
-        defect = sum(effects[i] for i in idx) - target
-        for i in idx:
-            effects[i] = effects[i] - defect / len(idx)
-    return Povm(joint.dim, tuple(zip(joint.labels, effects)))
-
-
-def _joint_dilation_pieces(
-    a: Povm, joint: Povm
-) -> tuple[NaimarkDilation, NaimarkDilation, Povm]:
-    """Minimal dilation of a, the matching dilation drawn from the joint's
-    canonical dilation, and the sharp readout observable for the other axes."""
     if joint.arity < 2:
         raise ValueError("joint observable needs at least two label axes")
     if joint.dim != a.dim:
         raise ValueError("joint observable acts on the wrong space")
-    lead = marginal(joint, 0)
-    if not effects_close(lead, a, tol=MARGINAL_TOL):
+    if not effects_close(marginal(joint, 0), a, tol=MARGINAL_TOL):
         raise ValueError(
             "leading marginal of the joint does not match the first observable"
         )
-    polished = _exact_first_marginal(joint, a)
-    cano = naimark_canonical(polished)
-    rest = tuple(range(1, joint.arity))
-    a_hat = marginal(cano.sharp, 0)
-    b_hat = marginal(cano.sharp, rest)
-    upstairs = NaimarkDilation(cano.dim_k, cano.isometry, a_hat)
-    return naimark_minimal(a), upstairs, b_hat
+    mini = naimark_minimal(a)
+    b_prime = {
+        lbl[1:]: np.zeros((mini.dim_k, mini.dim_k), dtype=np.complex128)
+        for lbl in joint.labels
+    }
+    for (x_lbl,), proj in mini.sharp.outcomes:
+        rows = np.flatnonzero(proj.diagonal())
+        w_pinv = np.linalg.pinv(mini.isometry[rows])
+        blocks = {
+            lbl[1:]: dagger(w_pinv) @ eff @ w_pinv
+            for lbl, eff in joint.outcomes
+            if lbl[0] == x_lbl
+        }
+        vals, vecs = np.linalg.eigh(sum(blocks.values()))
+        if (vals <= 0).any():
+            raise ValueError(f"joint block {x_lbl} is singular on the range of A")
+        norm = (vecs / np.sqrt(vals)) @ dagger(vecs)
+        for y_lbl, blk in blocks.items():
+            eff = norm @ blk @ norm
+            b_prime[y_lbl][np.ix_(rows, rows)] = (eff + dagger(eff)) / 2
+    return Povm(mini.dim_k, tuple(b_prime.items()))
 
 
-def modified_observable(a: Povm, joint: Povm, tol: float = CHECK_TOL) -> Povm:
-    """The observable B' on the universal channel's output implementing the
-    joint's other marginal.
-
-    B'(y) = J^dag B_hat(y) J, where B_hat collects the sharp dilation
-    effects of the joint over the non-leading label axes and J connects the
-    minimal dilation of ``a`` to the joint's canonical dilation.
-    """
-    mini, upstairs, b_hat = _joint_dilation_pieces(a, joint)
-    j = connecting_isometry(mini, upstairs, tol).matrix
-    outcomes = tuple(
-        (lbl, dagger(j) @ proj @ j) for lbl, proj in b_hat.outcomes
-    )
-    return Povm(mini.dim_k, outcomes)
-
-
-def compensating_channel(a: Povm, joint: Povm, tol: float = CHECK_TOL) -> KrausChannel:
+def compensating_channel(a: Povm, joint: Povm) -> KrausChannel:
     """Classical readout of the modified observable.
 
     Composing this channel after ``universal_channel(a)`` reproduces the
     measure-and-prepare channel of the joint's other marginal.
     """
-    return classical_channel(modified_observable(a, joint, tol))
+    return classical_channel(modified_observable(a, joint))
 
 
 def verify_sequential(
@@ -167,8 +149,8 @@ class SequentialScheme:
     implemented: Povm
 
 
-def sequential_scheme(a: Povm, joint: Povm, tol: float = CHECK_TOL) -> SequentialScheme:
+def sequential_scheme(a: Povm, joint: Povm) -> SequentialScheme:
     """Bundle the universal implementation of a joint observable."""
     channel = universal_channel(a)
-    second = modified_observable(a, joint, tol)
+    second = modified_observable(a, joint)
     return SequentialScheme(a, channel, second, implemented_joint(channel, second))

@@ -119,6 +119,7 @@ def test_criterion_8_structural_identities(report):
         and dual.details["worst_gap"] <= 1e-10
         and ident.status == "pass"
         and d["worst_auxiliary_residual"] <= 1e-9
+        and d["worst_b_prime_compression_gap"] <= 1e-9
         and d["worst_factorization_residual"] <= 1e-9
         and d["witnesses_valid"]
         and d["worst_witness_marginal_gap"] <= 1e-6

@@ -17,6 +17,7 @@ from seqmeas.povm import (
     qubit_binary,
     validate,
 )
+from seqmeas.sequential import universal_channel, verify_sequential
 from seqmeas.serialize import channel_to_json, dilation_to_json, povm_from_json, povm_to_json
 
 A08 = qubit_binary(0.8, AXIS_Z)
@@ -138,6 +139,34 @@ def test_universal_writes_channel_and_recovers(files, tmp_path):
     assert main(["validate", f"{out}/modified_observable.json"]) == 0
 
 
+def _wishart_pair(seed, d=6, na=2, nb=3, cols=2):
+    """Marginals of the first Wishart joint drawn from ``seed``, whitened to
+    sum to I."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(na * nb, d, cols)) + 1j * rng.normal(size=(na * nb, d, cols))
+    blocks = g @ np.conj(np.swapaxes(g, 1, 2))
+    w, v = np.linalg.eigh(blocks.sum(axis=0))
+    isq = (v * w**-0.5) @ np.conj(v.T)
+    m = isq @ blocks @ isq
+    m = ((m + np.conj(np.swapaxes(m, 1, 2))) / 2).reshape(na, nb, d, d)
+    a = Povm(d, tuple(((x,), m[x].sum(axis=0)) for x in range(na)))
+    b = Povm(d, tuple(((y,), m[:, y].sum(axis=0)) for y in range(nb)))
+    return a, b
+
+
+@pytest.mark.parametrize("seed", [5, 9, 11, 12])
+def test_universal_recovers_compatible_pairs_at_dimension_six(files, tmp_path, seed):
+    # A's smallest eigenvalues (about 6e-3) magnify the witness residual,
+    # which must not keep B' from verifying
+    _, write = files
+    a, b = _wishart_pair(seed)
+    out = tmp_path / "artifacts"
+    assert main(["universal", write("a.json", povm_to_json(a)),
+                 write("b.json", povm_to_json(b)), "--out-dir", str(out)]) == 0
+    b_prime = povm_from_json(json.loads((out / "modified_observable.json").read_text()))
+    assert verify_sequential(universal_channel(a), b_prime, b)
+
+
 def test_universal_propagates_incompatibility(files):
     _, write = files
     code = main(["universal", write("a.json", povm_to_json(A08)),
@@ -224,3 +253,28 @@ def test_config_file_sets_solver_budget(files):
     a = write("a.json", povm_to_json(A08))
     cfg = write("cfg.json", {"feas.max_iters": 3})
     assert main(["joint", a, a, "--config", cfg]) == 3
+
+
+@pytest.mark.parametrize(
+    "conf, flags",
+    [
+        ({"feas.tol": "abc"}, []),
+        ({"feas.tol": True}, []),
+        ({"feas.max_iters": 2.5}, []),
+        ({"feas.max_iters": False}, []),
+        (None, ["--max-iters", "-3"]),
+        (None, ["--max-iters", "0"]),
+        (None, ["--tol", "nan"]),
+        (None, ["--tol=-1e-8"]),
+    ],
+)
+def test_malformed_solver_settings_are_input_errors(files, capsys, conf, flags):
+    _, write = files
+    args = ["joint", write("a.json", povm_to_json(A08)),
+            write("b.json", povm_to_json(B06)), *flags]
+    if conf is not None:
+        args += ["--config", write("cfg.json", conf)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err
+    assert "sweeps" not in captured.out

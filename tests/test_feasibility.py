@@ -49,7 +49,7 @@ from seqmeas.povm import (
     trivial,
     validate,
 )
-from seqmeas.sequential import universal_channel, verify_sequential
+from seqmeas.sequential import modified_observable, universal_channel, verify_sequential
 
 A08 = qubit_binary(0.8, AXIS_Z)
 B06 = qubit_binary(0.6, AXIS_X)
@@ -478,17 +478,21 @@ def test_rank_one_joint_is_decided_feasible(draw):
 def test_compatible_rank_deficient_pairs_are_never_refuted(d, na, nb, cols, seed):
     # the joint search and, after the universal channel of a, the search
     # for the later observable recovering b: both have solutions, so
-    # neither may end infeasible or produce a certificate
+    # neither may end infeasible or produce a certificate; a joint found
+    # must yield a B' that recovers b
     rng = np.random.default_rng(seed)
     shape = (na * nb, d, cols)
     a, b = _wishart_pair(rng.normal(size=shape) + 1j * rng.normal(size=shape), na, nb)
     tight = SolverOptions(tol=1e-10)
-    for out in (
-        find_joint_observable(a, b, opts=tight),
-        conjugate_is_b_channel(universal_channel(a), b, opts=tight),
-    ):
+    uni = universal_channel(a)
+    joint = find_joint_observable(a, b, opts=tight)
+    for out in (joint, conjugate_is_b_channel(uni, b, opts=tight)):
         assert out.status != INFEASIBLE
         assert out.certificate is None
+    if joint.status == FEASIBLE:
+        b_prime = modified_observable(a, witness_povm(joint))
+        assert validate(b_prime, tol=1e-12)
+        assert verify_sequential(uni, b_prime, b)
 
 
 NEARLY_SHARP = qubit_binary(1 - 2e-10, AXIS_Z)

@@ -13,7 +13,12 @@ from seqmeas.channels import (
     is_trace_preserving,
     luders,
 )
-from seqmeas.dilation import naimark_minimal
+from seqmeas.dilation import (
+    NaimarkDilation,
+    connecting_isometry,
+    naimark_canonical,
+    naimark_minimal,
+)
 from seqmeas.linalg import dagger, frob
 from seqmeas.povm import (
     AXIS_X,
@@ -49,6 +54,16 @@ def orthogonal_joint(s, t):
         for j in (1, -1):
             outcomes.append(((i, j), (EYE + s * i * SIGMA_Z + t * j * SIGMA_X) / 4))
     return Povm(2, tuple(outcomes))
+
+
+def compression_gap(a, joint, bp):
+    """Distance between B' and J^dag B_hat J, with J connecting the minimal
+    dilation of a to the joint's canonical dilation read as one of a."""
+    cano = naimark_canonical(joint)
+    upstairs = NaimarkDilation(cano.dim_k, cano.isometry, marginal(cano.sharp, 0))
+    j = connecting_isometry(naimark_minimal(a), upstairs).matrix
+    b_hat = marginal(cano.sharp, tuple(range(1, joint.arity)))
+    return max(frob(e - dagger(j) @ f @ j) for e, f in zip(bp.effects, b_hat.effects))
 
 
 BASIS_STATES = [
@@ -129,6 +144,7 @@ def test_one_channel_serves_two_later_observables():
     for joint, target in cases:
         bp = modified_observable(a, joint)
         assert verify_sequential(lam, bp, target, tol=1e-8)
+        assert compression_gap(a, joint, bp) <= 1e-9
 
 
 def test_modified_observable_after_a_rank_one_joint():
@@ -147,6 +163,7 @@ def test_modified_observable_after_a_rank_one_joint():
     joint = Povm(4, tuple(((x, y), m[x, y]) for x in range(2) for y in range(2)))
     bp = modified_observable(a, joint)
     assert verify_sequential(universal_channel(a), bp, b, tol=1e-8)
+    assert compression_gap(a, joint, bp) <= 1e-9
 
 
 def test_modified_observable_trivial_second_axis():
@@ -167,6 +184,18 @@ def test_modified_observable_rejects_single_axis_labels():
     a = qubit_binary(0.8, AXIS_Z)
     with pytest.raises(ValueError, match="axes"):
         modified_observable(a, a)
+
+
+def test_modified_observable_rejects_a_joint_singular_on_a_range():
+    # the joint's leading marginal misses A(0) by 1e-7, inside the marginal
+    # tolerance, but drops the direction A(0) weights by 1e-7 altogether,
+    # so no normalisation of block 0 can sum to the identity
+    a = Povm(2, (((0,), np.diag([1.0, 1e-7])), ((1,), np.diag([0.0, 1 - 1e-7]))))
+    half = np.diag([0.5, 0.0])
+    joint = Povm(2, (((0, 0), half), ((0, 1), half),
+                     ((1, 0), np.diag([0.0, 1 - 1e-7])), ((1, 1), np.zeros((2, 2)))))
+    with pytest.raises(ValueError, match="singular"):
+        modified_observable(a, joint)
 
 
 def test_polish_tolerates_slightly_dirty_joint():
