@@ -6,9 +6,11 @@ into an instrument: branch x implements the completely positive map
 rho -> sum_{i in branch x} K_i rho K_i^dag, and the branch traces define the
 observable the instrument measures.
 
-Choi matrices use the output factor first, built from row-major vec, so the
-partial trace of a Choi matrix over the output factor equals the transpose of
-sum_k K_k^dag K_k.  This is the one place the transpose convention lives.
+Choi matrices, returned as plain arrays, use the output factor first, built
+from row-major vec, so the partial trace of a Choi matrix over the output
+factor equals the transpose of sum_k K_k^dag K_k.  This is the one place the
+transpose convention lives.  Stinespring isometries, plain arrays too, put
+the environment factor second.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .povm import Label, Povm, as_label
 
 __all__ = [
     "KrausChannel",
-    "ChoiMatrix",
-    "StinespringForm",
     "identity_channel",
     "is_trace_preserving",
     "apply",
@@ -84,25 +84,6 @@ class KrausChannel:
         if self.partition is None:
             raise ValueError("channel carries no branch partition")
         return tuple(self.partition)
-
-
-@dataclass(frozen=True, eq=False)
-class ChoiMatrix:
-    """Choi matrix of a channel, output factor first."""
-
-    matrix: np.ndarray
-    dim_in: int
-    dim_out: int
-
-
-@dataclass(frozen=True, eq=False)
-class StinespringForm:
-    """Isometry V: C^dim_in -> C^dim_out (x) C^dim_env with env factor second."""
-
-    isometry: np.ndarray
-    dim_in: int
-    dim_out: int
-    dim_env: int
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -183,23 +164,20 @@ def branch_observable(c: KrausChannel) -> Povm:
     return Povm(c.dim_in, outcomes)
 
 
-def _vec(k: np.ndarray) -> np.ndarray:
-    return k.reshape(-1)
-
-
-def choi(c: KrausChannel) -> ChoiMatrix:
-    """Choi matrix sum_k vec(K_k) vec(K_k)^dag, output factor first."""
+def choi(c: KrausChannel) -> np.ndarray:
+    """Choi matrix sum_k vec(K_k) vec(K_k)^dag on C^dim_out (x) C^dim_in,
+    output factor first, with row-major vec."""
     n = c.dim_out * c.dim_in
     m = np.zeros((n, n), dtype=np.complex128)
     for k in c.kraus:
-        v = _vec(k)
+        v = k.reshape(-1)
         m += np.outer(v, v.conj())
-    return ChoiMatrix(m, c.dim_in, c.dim_out)
+    return m
 
 
-def luders(a: Povm, tol: float = PSD_TOL) -> KrausChannel:
+def luders(a: Povm) -> KrausChannel:
     """The instrument with Kraus operators sqrt(A(x)), one branch per outcome."""
-    kraus = tuple(sqrt_psd(eff, tol) for eff in a.effects)
+    kraus = tuple(sqrt_psd(eff) for eff in a.effects)
     partition = {lbl: (i,) for i, lbl in enumerate(a.labels)}
     return KrausChannel(a.dim, a.dim, kraus, partition)
 
@@ -207,7 +185,6 @@ def luders(a: Povm, tol: float = PSD_TOL) -> KrausChannel:
 def classical_channel(
     m: Povm,
     readout_axes: Sequence[int] | None = None,
-    rank_tol: float = RANK_TOL,
 ) -> KrausChannel:
     """Measure-and-prepare channel writing outcomes into a classical register.
 
@@ -217,6 +194,8 @@ def classical_channel(
     passing a subset of label axes as the readout keeps only those components
     on the register while branches are labeled by the remaining components,
     so branch traces reproduce the marginal over the non-readout axes.
+    Eigen-directions of an effect with eigenvalue at or below `RANK_TOL`
+    get no Kraus operator.
     """
     if readout_axes is None:
         readouts = list(m.labels)
@@ -233,24 +212,24 @@ def classical_channel(
     kraus: list[np.ndarray] = []
     partition: dict[Label, list[int]] = {}
     for (lbl, eff), readout, key in zip(m.outcomes, readouts, keys):
-        eig = herm_eig(eff)
+        vals, vecs = herm_eig(eff)
         row = pointer[readout]
-        for rank in range(len(eig.eigenvalues) - 1, -1, -1):
-            lam = eig.eigenvalues[rank]
-            if lam <= rank_tol:
+        for rank in range(len(vals) - 1, -1, -1):
+            lam = vals[rank]
+            if lam <= RANK_TOL:
                 continue
             op = np.zeros((dim_out, m.dim), dtype=np.complex128)
-            op[row, :] = np.sqrt(lam) * eig.eigenvectors[:, rank].conj()
+            op[row, :] = np.sqrt(lam) * vecs[:, rank].conj()
             partition.setdefault(key, []).append(len(kraus))
             kraus.append(op)
     part = {k: tuple(v) for k, v in partition.items()}
     return KrausChannel(m.dim, dim_out, tuple(kraus), part)
 
 
-def stinespring(c: KrausChannel) -> StinespringForm:
-    """Isometry V psi = sum_e (K_e psi) (x) |e>, one env dimension per Kraus."""
-    v = np.stack(c.kraus, axis=1).reshape(c.dim_out * len(c.kraus), c.dim_in)
-    return StinespringForm(v, c.dim_in, c.dim_out, len(c.kraus))
+def stinespring(c: KrausChannel) -> np.ndarray:
+    """Isometry V psi = sum_e (K_e psi) (x) |e> into C^dim_out (x) C^#Kraus,
+    one environment dimension per Kraus operator, environment factor second."""
+    return np.stack(c.kraus, axis=1).reshape(c.dim_out * len(c.kraus), c.dim_in)
 
 
 def conjugate(c: KrausChannel) -> KrausChannel:

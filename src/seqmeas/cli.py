@@ -204,19 +204,20 @@ def cmd_validate(args) -> int:
 # ------------------------------------------------------------------- joint
 
 
-def _unbiased_qubit_binary(p: Povm, tol: float = QUBIT_TOL):
-    """Sharpness and unit axis when p is (1/2)(I +- t n.sigma), else None."""
+def _unbiased_qubit_binary(p: Povm):
+    """Sharpness and unit axis when p is (1/2)(I +- t n.sigma) to
+    `QUBIT_TOL`, else None."""
     if p.dim != 2 or len(p) != 2:
         return None
     eff = p.effects[1]
-    if abs(np.trace(eff).real - 1.0) > tol:
+    if abs(np.trace(eff).real - 1.0) > QUBIT_TOL:
         return None
     v = bloch_vector(eff)
     t = float(np.linalg.norm(v))
-    if not 0 < t <= 1 + tol:
+    if not 0 < t <= 1 + QUBIT_TOL:
         return None
     model = 0.5 * (np.eye(2) + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
-    if frob(eff - model) > tol or frob(p.effects[0] - (np.eye(2) - model)) > tol:
+    if frob(eff - model) > QUBIT_TOL or frob(p.effects[0] - (np.eye(2) - model)) > QUBIT_TOL:
         return None
     return min(t, 1.0), v / t
 

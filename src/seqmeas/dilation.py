@@ -7,7 +7,8 @@ on C^{#outcomes} (x) H and the minimal one on the direct sum of the effect
 ranges.  Minimal dilations connect to any other dilation of the same
 observable through a unique isometry J with J A_hat1(x) = A_hat2(x) J and
 J V1 = V2, computed here by least squares over the spanning vectors
-A_hat(x) V e_i.
+A_hat(x) V e_i, after a direct check that the two dilated effects
+V^dag A_hat(x) V agree.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .povm import Label, Povm, is_sharp, validate
 
 __all__ = [
     "NaimarkDilation",
-    "ConnectingIsometry",
     "naimark_canonical",
     "naimark_minimal",
     "verify_dilation",
@@ -55,15 +55,6 @@ class NaimarkDilation:
         return self.isometry.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class ConnectingIsometry:
-    """Isometry J: K1 -> K2 intertwining two dilations of one observable."""
-
-    matrix: np.ndarray
-    dim_from: int
-    dim_to: int
-
-
 def _stacked(blocks: list[tuple[Label, np.ndarray]]) -> NaimarkDilation:
     """The dilation V = (B_x stacked in order) with A_hat(x) the projector
     onto the rows of B_x, so that V^dag A_hat(x) V = B_x^dag B_x."""
@@ -78,16 +69,16 @@ def _stacked(blocks: list[tuple[Label, np.ndarray]]) -> NaimarkDilation:
     return NaimarkDilation(dim_k, v, Povm(dim_k, tuple(outcomes)))
 
 
-def naimark_canonical(a: Povm, tol: float = PSD_TOL) -> NaimarkDilation:
+def naimark_canonical(a: Povm) -> NaimarkDilation:
     """Dilation on C^{#outcomes} (x) H via V psi = sum_x |x> (x) sqrt(A(x)) psi.
 
     Block x of the dilation space carries a full copy of H; the sharp effect
     for x is the projection onto that block.
     """
-    return _stacked([(lbl, sqrt_psd(eff, tol)) for lbl, eff in a.outcomes])
+    return _stacked([(lbl, sqrt_psd(eff)) for lbl, eff in a.outcomes])
 
 
-def naimark_minimal(a: Povm, rank_tol: float = RANK_TOL) -> NaimarkDilation:
+def naimark_minimal(a: Povm) -> NaimarkDilation:
     """Dilation on the direct sum of the effect ranges.
 
     Block x has dimension rank(A(x)); its coordinates are the range basis of
@@ -96,7 +87,7 @@ def naimark_minimal(a: Povm, rank_tol: float = RANK_TOL) -> NaimarkDilation:
     the whole dilation space.
     """
     return _stacked([
-        (lbl, dagger(range_isometry(eff, rank_tol)) @ sqrt_psd(eff))
+        (lbl, dagger(range_isometry(eff)) @ sqrt_psd(eff))
         for lbl, eff in a.outcomes
     ])
 
@@ -121,39 +112,38 @@ def _spanning_matrix(d: NaimarkDilation) -> np.ndarray:
     return np.hstack([proj @ d.isometry for _, proj in d.sharp.outcomes])
 
 
-def is_minimal(d: NaimarkDilation, rank_tol: float = RANK_TOL) -> bool:
-    """Whether the spanning vectors A_hat(x) V e_i fill the dilation space."""
+def is_minimal(d: NaimarkDilation) -> bool:
+    """Whether the spanning vectors A_hat(x) V e_i fill the dilation space,
+    each singular value above `RANK_TOL`."""
     sv = np.linalg.svd(_spanning_matrix(d), compute_uv=False)
-    return len(sv) >= d.dim_k and bool(sv[d.dim_k - 1] > rank_tol)
+    return len(sv) >= d.dim_k and bool(sv[d.dim_k - 1] > RANK_TOL)
 
 
-def connecting_isometry(
-    first: NaimarkDilation,
-    second: NaimarkDilation,
-    tol: float = CHECK_TOL,
-) -> ConnectingIsometry:
-    """The isometry J with J A_hat1(x) = A_hat2(x) J and J V1 = V2.
+def connecting_isometry(first: NaimarkDilation, second: NaimarkDilation) -> np.ndarray:
+    """The isometry J: K1 -> K2 with J A_hat1(x) = A_hat2(x) J and J V1 = V2.
 
     ``first`` must be minimal and both must dilate the same observable; J is
     then unique.  Solved by normal equations J (S S^dag) = T S^dag over the
     spanning columns S, T of the two dilations.
+
+    S^dag S and T^dag T hold the two dilated observables block by block,
+    so the precondition is checked as |S^dag S - T^dag T| <= `CHECK_TOL`.
+    |J^dag J - I| is no test of it: J^dag J - I = S^+dag (T^dag T - S^dag S)
+    S^+ scales the defect by the inverse of the observable's smallest
+    nonzero eigenvalue, past `CHECK_TOL` on witnesses that meet the
+    observable to a solver residual.
     """
     if first.dim != second.dim or first.sharp.labels != second.sharp.labels:
         raise ValueError("dilations of different observables")
     s = _spanning_matrix(first)
     t = _spanning_matrix(second)
+    if frob(dagger(s) @ s - dagger(t) @ t) > CHECK_TOL:
+        raise ValueError("dilations of different observables: dilated effects differ")
     sv = np.linalg.svd(s, compute_uv=False)
     if len(sv) < first.dim_k or sv[first.dim_k - 1] <= RANK_RCOND * sv[0]:
         raise ValueError("first dilation is not minimal: spanning set is rank deficient")
     gram = s @ dagger(s)
     j = t @ dagger(s) @ np.linalg.pinv(gram, rcond=RANK_RCOND, hermitian=True)
-    if frob(j @ s - t) > tol:
+    if frob(j @ s - t) > CHECK_TOL:
         raise ValueError("connecting solve failed: spanning residual above tolerance")
-    # J maps spanning vectors to spanning vectors by construction, so the
-    # only way it can fail to be an isometry is mismatched Gram matrices,
-    # i.e. the two dilations do not dilate the same observable
-    if frob(dagger(j) @ j - np.eye(first.dim_k)) > tol:
-        raise ValueError(
-            "dilations of different observables: connecting map is not an isometry"
-        )
-    return ConnectingIsometry(j, first.dim_k, second.dim_k)
+    return j

@@ -280,13 +280,12 @@ class _Marginals:
         return float(np.linalg.norm(self._defect(x)))
 
 
-def _kernel_cols(
-    ms: np.ndarray, rank_tol: float = RANK_TOL
-) -> list[tuple[np.ndarray, float]]:
-    """Orthonormal bases of the (toleranced) kernels of stacked Hermitian
-    matrices, each with the summed magnitude of the eigenvalues it cuts."""
+def _kernel_cols(ms: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """Orthonormal bases of the kernels, cut at `RANK_TOL` relative, of
+    stacked Hermitian matrices, each with the summed magnitude of the
+    eigenvalues it cuts."""
     w, v = np.linalg.eigh((ms + np.conj(np.swapaxes(ms, -1, -2))) / 2)
-    small = np.abs(w) <= rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
+    small = np.abs(w) <= RANK_TOL * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
     return [(vi[:, k], float(np.abs(wi[k]).sum())) for wi, vi, k in zip(w, v, small)]
 
 

@@ -301,7 +301,7 @@ def _check_sharp_reduction(seed: int, opts: SolverOptions) -> tuple[str, dict]:
     lam = universal_channel(sharp)
     v = naimark_minimal(sharp).isometry
     identified = KrausChannel(2, 2, tuple(dagger(v) @ k for k in lam.kraus))
-    diff = frob(choi(identified).matrix - choi(luders(sharp)).matrix)
+    diff = frob(choi(identified) - choi(luders(sharp)))
     status = "pass" if diff <= 1e-10 else "fail"
     return status, {"choi_difference": diff, "tolerance": 1e-10}
 
@@ -315,11 +315,11 @@ def _check_minimal_dilation_dims(seed: int, opts: SolverOptions) -> tuple[str, d
     rows = []
     ok = True
     for name, obs, want in expected:
-        d = naimark_minimal(obs, rank_tol=1e-9)
+        d = naimark_minimal(obs)
         good = (
             d.dim_k == want
             and verify_dilation(obs, d, tol=1e-9)
-            and is_minimal(d, rank_tol=1e-9)
+            and is_minimal(d)
         )
         ok = ok and good
         rows.append({"observable": name, "dim": d.dim_k, "expected": want, "ok": good})
@@ -407,7 +407,7 @@ def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dic
         upstairs = NaimarkDilation(
             cano.dim_k, cano.isometry, marginal(cano.sharp, 0)
         )
-        j = connecting_isometry(mini, upstairs).matrix
+        j = connecting_isometry(mini, upstairs)
         # sharp joint effects annihilate mismatched branches of the embedding
         for m_lbl, m_hat in cano.sharp.outcomes:
             for (x_lbl,), a_hat in mini.sharp.outcomes:

@@ -5,15 +5,15 @@ All operators are numpy arrays of dtype complex128.  Matrices are small
 (dimension a few dozen at most), so everything here is plain dense algebra;
 no attempt is made to exploit sparsity.
 
-Callers pass tolerances explicitly; the constants below are the defaults.
-They chain: a joint witness solved to `WITNESS_TOL` keeps the closed-form
+Constructions (square roots, range bases, dilations, instruments) read
+the constants below directly and take no tolerance argument; only
+predicates, which their callers hold to different accuracies, take a
+`tol`, defaulting to one of these constants.  They chain: a joint witness solved to `WITNESS_TOL` keeps the closed-form
 B' of `modified_observable` inside `CHECK_TOL`, at which
 `verify_sequential` accepts the recovered observable.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "QUBIT_TOL",
     "RECOVERY_FLOOR",
     "BOUNDARY_SLACK",
-    "HermitianEigen",
     "as_complex",
     "dagger",
     "frob",
@@ -124,19 +123,6 @@ def partial_trace(
     raise ValueError(f"traced must be 'first' or 'second', got {traced!r}")
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; column k of ``eigenvectors`` is
-    the unit eigenvector for eigenvalue k, with its largest-magnitude entry
-    rotated to the positive real axis so repeated runs give identical bases.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     # unit columns, so the anchor entry is never zero
     anchors = np.abs(vecs).argmax(axis=0)
@@ -144,31 +130,35 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * (np.abs(lead) / lead)
 
 
-def herm_eig(m: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEigen:
-    """Eigendecomposition with a Hermiticity check and deterministic phases."""
+def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a Hermitian matrix, like
+    ``np.linalg.eigh``, after a check of Hermiticity to `HERMITICITY_TOL`.
+
+    The eigenvalues are real and ascending; column k of the eigenvectors is
+    the unit eigenvector for eigenvalue k, with its largest-magnitude entry
+    rotated to the positive real axis so repeated runs give identical bases.
+    """
     m = as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if frob(m - dagger(m)) > tol:
+    if frob(m - dagger(m)) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2)
-    return HermitianEigen(vals, _fix_phases(vecs))
+    return vals, _fix_phases(vecs)
 
 
-def sqrt_psd(m: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-tol, tol] are treated as exact zeros, because the
-    root of roundoff on the kernel is far larger than the roundoff itself
-    (1e-16 would give 1e-8); anything below -tol raises.
+    Eigenvalues in [-PSD_TOL, PSD_TOL] are treated as exact zeros, because
+    the root of roundoff on the kernel is far larger than the roundoff
+    itself (1e-16 would give 1e-8); anything below -PSD_TOL raises.
     """
-    eig = herm_eig(m, tol)
-    if eig.eigenvalues[0] < -tol:
-        raise ValueError(
-            f"matrix is not PSD: smallest eigenvalue {eig.eigenvalues[0]:.3e}"
-        )
-    roots = np.sqrt(np.where(eig.eigenvalues > tol, eig.eigenvalues, 0.0))
-    out = (eig.eigenvectors * roots) @ dagger(eig.eigenvectors)
+    vals, vecs = herm_eig(m)
+    if vals[0] < -PSD_TOL:
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {vals[0]:.3e}")
+    roots = np.sqrt(np.where(vals > PSD_TOL, vals, 0.0))
+    out = (vecs * roots) @ dagger(vecs)
     return (out + dagger(out)) / 2
 
 
@@ -183,16 +173,14 @@ def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
     return bool(vals[0] >= -tol)
 
 
-def range_isometry(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def range_isometry(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the range of a PSD matrix, as matrix columns.
 
     Columns are ordered by descending eigenvalue; eigenvalues at or below
-    ``rank_tol`` do not contribute.  The result V satisfies V^dag V = I_r and
+    `RANK_TOL` do not contribute.  The result V satisfies V^dag V = I_r and
     V V^dag = projection onto range(m).
     """
-    if not is_psd(m, rank_tol):
+    if not is_psd(m, RANK_TOL):
         raise ValueError("range_isometry expects a PSD matrix")
-    eig = herm_eig(m)
-    keep = eig.eigenvalues > rank_tol
-    cols = eig.eigenvectors[:, keep]
-    return cols[:, ::-1].copy()
+    vals, vecs = herm_eig(m)
+    return vecs[:, vals > RANK_TOL][:, ::-1].copy()

@@ -198,20 +198,20 @@ def post_process(
     p: Povm,
     kernel: np.ndarray,
     labels: Sequence | None = None,
-    tol: float = PSD_TOL,
 ) -> Povm:
     """Classically post-process an observable with a stochastic kernel.
 
     ``kernel[i, j]`` is the probability of relabeling outcome i (in label
-    order) to new outcome j.  Rows must sum to one.  New labels default to
-    (0,), (1,), ... in column order.
+    order) to new outcome j.  Entries must be nonnegative and rows sum to
+    one, to `PSD_TOL`.  New labels default to (0,), (1,), ... in column
+    order.
     """
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[0] != len(p):
         raise ValueError(
             f"kernel shape {kernel.shape} does not match {len(p)} outcomes"
         )
-    if kernel.min() < -tol or np.abs(kernel.sum(axis=1) - 1.0).max() > tol:
+    if kernel.min() < -PSD_TOL or np.abs(kernel.sum(axis=1) - 1.0).max() > PSD_TOL:
         raise ValueError("kernel is not row stochastic")
     n_new = kernel.shape[1]
     if labels is None:

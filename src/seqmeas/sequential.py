@@ -31,7 +31,7 @@ from .channels import (
     heisenberg_branch,
 )
 from .dilation import naimark_minimal
-from .linalg import CHECK_TOL, MARGINAL_TOL, RANK_TOL, dagger, frob
+from .linalg import CHECK_TOL, MARGINAL_TOL, dagger, frob
 from .povm import Povm, effects_close, marginal
 
 __all__ = [
@@ -44,13 +44,13 @@ __all__ = [
     "sequential_scheme",
 ]
 
-def universal_channel(a: Povm, rank_tol: float = RANK_TOL) -> KrausChannel:
+def universal_channel(a: Povm) -> KrausChannel:
     """Instrument with Kraus operators A_hat(x) V over the minimal dilation.
 
     Output lives on the dilation space; the branch partition is one Kraus
     operator per outcome of ``a``, so branch traces reproduce ``a``.
     """
-    d = naimark_minimal(a, rank_tol)
+    d = naimark_minimal(a)
     kraus = tuple(proj @ d.isometry for _, proj in d.sharp.outcomes)
     partition = {lbl: (i,) for i, lbl in enumerate(d.sharp.labels)}
     return KrausChannel(a.dim, d.dim_k, kraus, partition)

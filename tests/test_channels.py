@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from seqmeas.channels import (
-    ChoiMatrix,
     KrausChannel,
     apply,
     apply_branch,
@@ -164,27 +163,27 @@ def test_choi_of_identity_is_maximally_entangled():
     j = choi(identity_channel(2))
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1.0
-    assert np.allclose(j.matrix, np.outer(v, v.conj()))
+    assert np.allclose(j, np.outer(v, v.conj()))
 
 
 def test_choi_of_depolarizing_is_flat():
     kraus = tuple(m / 2 for m in (EYE, SIGMA_X, SIGMA_Y, SIGMA_Z))
     c = KrausChannel(2, 2, kraus)
-    assert np.allclose(choi(c).matrix, np.eye(4) / 2, atol=1e-12)
+    assert np.allclose(choi(c), np.eye(4) / 2, atol=1e-12)
 
 
 def test_choi_output_trace_is_identity():
     c = random_channel(3, 2, 3)
     j = choi(c)
-    assert isinstance(j, ChoiMatrix)
-    reduced = partial_trace(j.matrix, c.dim_out, c.dim_in, "first")
+    assert j.shape == (c.dim_out * c.dim_in,) * 2
+    reduced = partial_trace(j, c.dim_out, c.dim_in, "first")
     assert np.allclose(reduced, np.eye(3), atol=1e-12)
 
 
 def test_choi_reproduces_action():
     # Lambda(rho) = Tr_in[ J (I (x) rho^T) ]
     c = random_channel(2, 3, 2)
-    j = choi(c).matrix
+    j = choi(c)
     rho = random_state(2)
     lifted = j @ tensor(np.eye(3), rho.T)
     assert np.allclose(
@@ -252,23 +251,23 @@ def test_classical_channel_readout_axes_validation():
 
 def test_stinespring_is_isometry():
     c = random_channel(3, 2, 4)
-    v = stinespring(c).isometry
+    v = stinespring(c)
     assert v.shape == (2 * 4, 3)
     assert np.allclose(dagger(v) @ v, np.eye(3), atol=1e-12)
 
 
 def test_stinespring_reductions():
     c = random_channel(2, 3, 3)
-    form = stinespring(c)
+    v = stinespring(c)
     rho = random_state(2)
-    lifted = form.isometry @ rho @ dagger(form.isometry)
+    lifted = v @ rho @ dagger(v)
     assert np.allclose(
-        partial_trace(lifted, form.dim_out, form.dim_env, "second"),
+        partial_trace(lifted, c.dim_out, len(c.kraus), "second"),
         apply(c, rho),
         atol=1e-12,
     )
     assert np.allclose(
-        partial_trace(lifted, form.dim_out, form.dim_env, "first"),
+        partial_trace(lifted, c.dim_out, len(c.kraus), "first"),
         apply(conjugate(c), rho),
         atol=1e-12,
     )

@@ -1,6 +1,7 @@
 """CLI tests driving main() directly with artifact files on disk."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,7 +244,7 @@ def test_selftest_reports_are_deterministic(files, tmp_path):
     def strip(doc):
         return [{k: v for k, v in c.items() if k != "seconds"} for c in doc["checks"]]
 
-    first, second = (json.loads(open(p).read()) for p in paths)
+    first, second = (json.loads(Path(p).read_text()) for p in paths)
     assert strip(first) == strip(second)
     assert first["inputs"] == second["inputs"]
 

@@ -19,7 +19,8 @@ from seqmeas.dilation import (
     naimark_canonical,
     naimark_minimal,
 )
-from seqmeas.linalg import dagger, frob
+from seqmeas.feasibility import SolverOptions, find_joint_observable, witness_povm
+from seqmeas.linalg import WITNESS_TOL, dagger, frob
 from seqmeas.povm import (
     AXIS_X,
     AXIS_Z,
@@ -44,6 +45,7 @@ from seqmeas.sequential import (
     universal_channel,
     verify_sequential,
 )
+from test_cli import _wishart_pair
 
 EYE = np.eye(2, dtype=complex)
 
@@ -56,12 +58,18 @@ def orthogonal_joint(s, t):
     return Povm(2, tuple(outcomes))
 
 
+def upstairs(joint):
+    """The joint's canonical dilation read as a dilation of its first
+    marginal."""
+    cano = naimark_canonical(joint)
+    return NaimarkDilation(cano.dim_k, cano.isometry, marginal(cano.sharp, 0))
+
+
 def compression_gap(a, joint, bp):
     """Distance between B' and J^dag B_hat J, with J connecting the minimal
     dilation of a to the joint's canonical dilation read as one of a."""
     cano = naimark_canonical(joint)
-    upstairs = NaimarkDilation(cano.dim_k, cano.isometry, marginal(cano.sharp, 0))
-    j = connecting_isometry(naimark_minimal(a), upstairs).matrix
+    j = connecting_isometry(naimark_minimal(a), upstairs(joint))
     b_hat = marginal(cano.sharp, tuple(range(1, joint.arity)))
     return max(frob(e - dagger(j) @ f @ j) for e, f in zip(bp.effects, b_hat.effects))
 
@@ -106,7 +114,7 @@ def test_sharp_universal_reduces_to_luders():
     lam = universal_channel(a)
     v = naimark_minimal(a).isometry
     identified = KrausChannel(2, 2, tuple(dagger(v) @ k for k in lam.kraus))
-    diff = frob(choi(identified).matrix - choi(luders(a)).matrix)
+    diff = frob(choi(identified) - choi(luders(a)))
     assert diff <= 1e-10
 
 
@@ -164,6 +172,19 @@ def test_modified_observable_after_a_rank_one_joint():
     bp = modified_observable(a, joint)
     assert verify_sequential(universal_channel(a), bp, b, tol=1e-8)
     assert compression_gap(a, joint, bp) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [5, 9, 11, 12])
+def test_connecting_isometry_accepts_witness_dilations_at_dimension_six(seed):
+    # the witness meets A only to its solver residual (about 1e-9 here),
+    # which J^dag J - I would magnify by the inverse of A's smallest
+    # eigenvalue (4e-4 to 8e-3) past CHECK_TOL
+    a, b = _wishart_pair(seed)
+    joint = witness_povm(find_joint_observable(a, b, opts=SolverOptions(tol=WITNESS_TOL)))
+    mini, up = naimark_minimal(a), upstairs(joint)
+    j = connecting_isometry(mini, up)
+    assert frob(j @ mini.isometry - up.isometry) <= 1e-9
+    assert compression_gap(a, joint, modified_observable(a, joint)) <= 1e-6
 
 
 def test_modified_observable_trivial_second_axis():
