@@ -92,7 +92,7 @@ def identity_channel(dim: int) -> KrausChannel:
 
 def is_trace_preserving(c: KrausChannel, tol: float = PSD_TOL) -> bool:
     total = sum(dagger(k) @ k for k in c.kraus)
-    return frob(total - np.eye(c.dim_in)) <= tol * np.sqrt(c.dim_in)
+    return bool(frob(total - np.eye(c.dim_in)) <= tol * np.sqrt(c.dim_in))
 
 
 def _check_state(c: KrausChannel, state: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ stalled without an infeasibility certificate).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -73,15 +74,23 @@ def _read_json(path: str):
         raise SchemaError("", f"{path} is not valid JSON: {exc}") from exc
 
 
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _digests(args, *paths: str) -> dict:
+    """sha256 of each input file, taken only when a report will be written."""
+    if not getattr(args, "json_out", None):
+        return {}
+    digests = {}
+    for path in paths:
+        with open(path, "rb") as fh:
+            digests[path] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
 
 
 def _write_json(path: str, doc) -> None:
+    # one-shot dumps runs the C encoder (json.dump and indent do not), and a
+    # document that cannot be encoded leaves no truncated file behind
+    text = json.dumps(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _solver_options(args) -> SolverOptions:
@@ -196,7 +205,7 @@ def cmd_validate(args) -> int:
         args,
         "validate",
         [_check(f"validate-{kind}", "pass" if code == PASS else "fail", 0.0, details)],
-        {args.path: _file_digest(args.path)},
+        _digests(args, args.path),
     )
     return code
 
@@ -225,7 +234,7 @@ def _unbiased_qubit_binary(p: Povm):
 def cmd_joint(args) -> int:
     observables = [povm_from_json(_read_json(p)) for p in args.paths]
     opts = _solver_options(args)
-    inputs = {p: _file_digest(p) for p in args.paths}
+    inputs = _digests(args, *args.paths)
     if args.exact_qubit:
         if len(observables) != 2:
             raise SchemaError("", "--exact-qubit applies to exactly two observables")
@@ -262,7 +271,7 @@ def cmd_joint(args) -> int:
 
 def cmd_universal(args) -> int:
     a = povm_from_json(_read_json(args.a_path))
-    inputs = {args.a_path: _file_digest(args.a_path)}
+    inputs = _digests(args, args.a_path)
     opts = _solver_options(args)
     uni = universal_channel(a)
     out_dir = Path(args.out_dir) if args.out_dir else None
@@ -276,7 +285,7 @@ def cmd_universal(args) -> int:
     code = PASS
     if args.b_path:
         b = povm_from_json(_read_json(args.b_path))
-        inputs[args.b_path] = _file_digest(args.b_path)
+        inputs |= _digests(args, args.b_path)
         start = time.perf_counter()
         # a tight witness keeps the recovered B' inside CHECK_TOL
         tight = SolverOptions(tol=min(opts.tol, WITNESS_TOL), max_iters=opts.max_iters)
@@ -310,7 +319,7 @@ def cmd_universal(args) -> int:
 def cmd_conjugate_test(args) -> int:
     c = channel_from_json(_read_json(args.channel_path))
     b = povm_from_json(_read_json(args.b_path))
-    inputs = {p: _file_digest(p) for p in (args.channel_path, args.b_path)}
+    inputs = _digests(args, args.channel_path, args.b_path)
     opts = _solver_options(args)
     start = time.perf_counter()
     out = conjugate_is_b_channel(c, b, opts=opts)
@@ -342,7 +351,7 @@ def cmd_nondisturb(args) -> int:
     print(f"nondisturbing: {quiet}")
     _report(args, "nondisturb",
             [_check("nondisturb", "pass" if quiet else "fail", 0.0, {"tol": tol})],
-            {p: _file_digest(p) for p in (args.channel_path, args.b_path)})
+            _digests(args, args.channel_path, args.b_path))
     return PASS if quiet else FAIL
 
 
@@ -356,7 +365,7 @@ def cmd_dilate(args) -> int:
         _write_json(args.out, dilation_to_json(d))
     _report(args, "dilate",
             [_check("dilate", "pass" if ok else "fail", 0.0, {"dim_k": d.dim_k})],
-            {args.path: _file_digest(args.path)})
+            _digests(args, args.path))
     return PASS if ok else FAIL
 
 
@@ -398,7 +407,9 @@ def _add_solver_flags(sub) -> None:
                      help="JSON file with feas.tol / feas.max_iters keys")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `seqmeas` parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="seqmeas",
         description="Sequential measurement constructions and checks.",

@@ -73,33 +73,41 @@ def _field(obj: Mapping, key: str, path: str) -> Any:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    a = np.asarray(m, dtype=np.complex128)
-    return [[[float(e.real), float(e.imag)] for e in row] for row in a]
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    # each complex entry read in place as its [re, im] pair of float64
+    return a[..., None].view(np.float64).tolist()
+
+
+# the number types json.load produces; anything else takes the exact check
+_JSON_NUMBERS = {int, float}
+
+
+def _check_pair(obj: Any, path: str) -> None:
+    pair = _as_list(obj, path)
+    if len(pair) != 2:
+        raise SchemaError(path, "expected a [re, im] pair")
+    for k, part in enumerate(pair):
+        _as_number(part, f"{path}/{k}")
 
 
 def matrix_from_json(obj: Any, path: str = "") -> np.ndarray:
     rows = _as_list(obj, path)
     if not rows:
         raise SchemaError(path, "matrix has no rows")
-    data = []
-    width = None
+    width = len(_as_list(rows[0], f"{path}/0"))
     for i, row in enumerate(rows):
-        entries = _as_list(row, f"{path}/{i}")
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
+        if not isinstance(row, list) or len(row) != width:
+            entries = _as_list(row, f"{path}/{i}")
             raise SchemaError(f"{path}/{i}", f"row has {len(entries)} entries, expected {width}")
-        parsed = []
-        for j, entry in enumerate(entries):
-            pair = _as_list(entry, f"{path}/{i}/{j}")
-            if len(pair) != 2:
-                raise SchemaError(f"{path}/{i}/{j}", "expected a [re, im] pair")
-            parsed.append(complex(_as_number(pair[0], f"{path}/{i}/{j}/0"),
-                                  _as_number(pair[1], f"{path}/{i}/{j}/1")))
-        data.append(parsed)
+        for j, entry in enumerate(row):
+            # paths are formatted only for entries the fast test cannot pass
+            if (entry.__class__ is not list or len(entry) != 2
+                    or entry[0].__class__ not in _JSON_NUMBERS
+                    or entry[1].__class__ not in _JSON_NUMBERS):
+                _check_pair(entry, f"{path}/{i}/{j}")
     if width == 0:
         raise SchemaError(path, "matrix has no columns")
-    return np.array(data, dtype=np.complex128)
+    return np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _label_from_json(obj: Any, path: str) -> Label:

@@ -1,5 +1,6 @@
 """CLI tests driving main() directly with artifact files on disk."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from seqmeas.channels import KrausChannel, luders
-from seqmeas.cli import main
+from seqmeas.cli import build_parser, main
 from seqmeas.dilation import NaimarkDilation, naimark_minimal
 from seqmeas.povm import (
     AXIS_X,
@@ -77,6 +78,15 @@ def test_validate_rejects_a_broken_dilation(files, capsys, spoil):
     assert main(["validate", path, "--json-out", str(report)]) == 1
     assert "dilation structure fails" in capsys.readouterr().out
     assert json.loads(report.read_text())["checks"][0]["details"]["verified"] is False
+
+
+def test_validate_reports_on_channels(files, tmp_path):
+    _, write = files
+    report = tmp_path / "r.json"
+    assert main(["validate", write("lud.json", channel_to_json(luders(A08))),
+                 "--json-out", str(report)]) == 0
+    (check,) = json.loads(report.read_text())["checks"]
+    assert check["details"]["trace_preserving"] is True
 
 
 def test_validate_rejects_lossy_channels(files):
@@ -279,3 +289,66 @@ def test_malformed_solver_settings_are_input_errors(files, capsys, conf, flags):
     captured = capsys.readouterr()
     assert "input error" in captured.err
     assert "sweeps" not in captured.out
+
+
+def test_reports_digest_the_input_bytes(files, tmp_path, capsys):
+    _, write = files
+    a = write("a.json", povm_to_json(A08))
+    b = write("b.json", povm_to_json(B06))
+    report = tmp_path / "r.json"
+
+    def sha(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    assert main(["joint", a, b, "--json-out", str(report)]) == 0
+    assert json.loads(report.read_text())["inputs"] == {a: sha(a), b: sha(b)}
+    assert main(["universal", a, b, "--json-out", str(report)]) == 0
+    assert json.loads(report.read_text())["inputs"] == {a: sha(a), b: sha(b)}
+    assert main(["validate", a, "--json-out", str(report)]) == 0
+    assert json.loads(report.read_text())["inputs"] == {a: sha(a)}
+
+
+def test_inputs_are_not_digested_without_a_report(files, monkeypatch):
+    _, write = files
+    a = write("a.json", povm_to_json(A08))
+    lud = write("lud.json", channel_to_json(luders(A08)))
+
+    def refuse(*_):
+        raise AssertionError("digest taken without --json-out")
+
+    monkeypatch.setattr(hashlib, "sha256", refuse)
+    assert main(["validate", a]) == 0
+    assert main(["joint", a, a]) == 0
+    assert main(["nondisturb", lud, a]) == 0
+    assert main(["dilate", a]) == 0
+
+
+def test_written_documents_are_single_line_json(files, tmp_path):
+    _, write = files
+    out = tmp_path / "dil.json"
+    assert main(["dilate", write("a.json", povm_to_json(A08)), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == json.loads(json.dumps(dilation_to_json(naimark_minimal(A08))))
+
+
+def test_consecutive_calls_share_the_parser_but_not_its_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["selftest", "--only", "duality", "--only", "sharp-reduction",
+                 "--tol", "1e-9", "--json-out", str(r1)]) == 0
+    assert main(["selftest", "--only", "duality", "--json-out", str(r2)]) == 0
+    first, second = (json.loads(r.read_text()) for r in (r1, r2))
+    assert [c["name"] for c in first["checks"]] == ["sharp-reduction", "duality"]
+    assert [c["name"] for c in second["checks"]] == ["duality"]
+    assert any(part.startswith("tol=") for part in first["command"])
+    assert not any(part.startswith("tol=") for part in second["command"])
+
+
+def test_version_exit_leaves_the_parser_usable(files, capsys):
+    _, write = files
+    with pytest.raises(SystemExit) as stop:
+        main(["--version"])
+    assert stop.value.code == 0
+    assert main(["validate", write("a.json", povm_to_json(A08))]) == 0
+    assert "valid observable" in capsys.readouterr().out

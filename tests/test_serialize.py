@@ -61,12 +61,41 @@ def test_matrix_encoding_layout():
         ([[[0, 0]], [[0, 0], [1, 0]]], "/m/1"),
         ([[[0, 0, 0]]], "/m/0/0"),
         ([[[0, "x"]]], "/m/0/0/1"),
+        ([[[True, 0]]], "/m/0/0/0"),
+        ([[0]], "/m/0/0"),
+        ([[[0, None]]], "/m/0/0/1"),
     ],
 )
 def test_matrix_schema_errors_carry_paths(doc, path_part):
     with pytest.raises(SchemaError) as err:
         matrix_from_json(doc, "/m")
     assert err.value.path.startswith(path_part)
+
+
+def test_matrix_reader_accepts_numpy_scalars():
+    doc = [[[np.float64(0.5), np.float64(-1.0)], [1, np.float64(2.0)]]]
+    back = matrix_from_json(doc)
+    assert back.dtype == np.complex128
+    assert np.array_equal(back, np.array([[0.5 - 1j, 1 + 2j]]))
+
+
+def test_matrix_codec_matches_the_elementwise_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    m[0, :3] = [-0.0 + 1e-300j, 1e-300 - 0.0j, complex(-0.0, -0.0)]
+    m[1, 0] = 5e-324
+    doc = matrix_to_json(m)
+    assert doc == [[[float(e.real), float(e.imag)] for e in row] for row in m]
+    # a strided view (here the adjoint) encodes like its copy
+    assert matrix_to_json(m.conj().T) == [
+        [[float(e.real), float(e.imag)] for e in row] for row in m.conj().T]
+    assert all(type(x) is float for row in doc for e in row for x in e)
+    text = through_text(doc)
+    back = matrix_from_json(text)
+    reference = np.array([[complex(re, im) for re, im in row] for row in text])
+    # bit-exact, so -0.0 stays distinct from 0.0
+    assert back.view(np.uint64).tolist() == m.view(np.uint64).tolist()
+    assert back.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
 
 
 def test_povm_round_trip():
