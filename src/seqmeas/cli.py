@@ -94,23 +94,14 @@ def _write_json(path: str, doc) -> None:
 
 
 def _solver_options(args) -> SolverOptions:
-    tol = DEFAULT_OPTIONS.tol
-    max_iters = DEFAULT_OPTIONS.max_iters
-    if getattr(args, "config", None):
-        conf = _read_json(args.config)
-        if not isinstance(conf, dict):
-            raise SchemaError("", "config file must hold a JSON object")
-        tol = conf.get("feas.tol", tol)
-        max_iters = conf.get("feas.max_iters", max_iters)
-    if args.tol is not None:
-        tol = args.tol
-    if args.max_iters is not None:
-        max_iters = args.max_iters
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
-        raise SchemaError("feas.tol", f"expected a finite number >= 0, got {tol!r}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
-        raise SchemaError("feas.max_iters", f"expected an integer >= 1, got {max_iters!r}")
-    return SolverOptions(tol=float(tol), max_iters=max_iters)
+    # argparse has already typed the flags; only their ranges are left
+    tol = DEFAULT_OPTIONS.tol if args.tol is None else args.tol
+    max_iters = DEFAULT_OPTIONS.max_iters if args.max_iters is None else args.max_iters
+    if not 0 <= tol < math.inf:
+        raise SchemaError("--tol", f"expected a finite number >= 0, got {tol!r}")
+    if max_iters < 1:
+        raise SchemaError("--max-iters", f"expected an integer >= 1, got {max_iters!r}")
+    return SolverOptions(tol=tol, max_iters=max_iters)
 
 
 # a solver outcome's status as a check status and an exit code
@@ -403,8 +394,6 @@ def _add_solver_flags(sub) -> None:
                      help=f"feasibility tolerance (default {DEFAULT_OPTIONS.tol:g})")
     sub.add_argument("--max-iters", type=int, default=None,
                      help=f"sweep budget (default {DEFAULT_OPTIONS.max_iters})")
-    sub.add_argument("--config", default=None,
-                     help="JSON file with feas.tol / feas.max_iters keys")
 
 
 @functools.cache

@@ -18,6 +18,9 @@ targets.  Each such family of constraints is one affine set,
   branches measuring B (`is_a_channel`), because those branches are
   exactly the observables on the Stinespring environment.
 
+Every question is one `_solve`, with no shortcut around it, and its one
+necessary condition is checked there (see `_solve`).
+
 The solver runs alternating projections: one sweep T(x) projects
 through every affine set in turn and then onto the cone, and its
 iterates converge to a point of the intersection whenever one exists.
@@ -80,10 +83,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .channels import KrausChannel, conjugate, heisenberg_apply
+from .channels import KrausChannel, conjugate
 from .linalg import (
     BOUNDARY_SLACK, CERTIFICATE_SLACK, CHECK_TOL, NECESSARY_TOL, RANK_RCOND, RANK_TOL,
-    dagger, frob,
+    dagger,
 )
 from .povm import SIGMA_X, SIGMA_Z, Label, Povm
 
@@ -403,8 +406,22 @@ def _solve(
     grid: tuple[int, ...], dim: int, families, opts: SolverOptions, labels
 ) -> FeasibilityOutcome:
     """Search for PSD `dim`-blocks on `grid` meeting every `(keep, targets,
-    kraus)` family of marginal constraints (see `_Marginals`)."""
+    kraus)` family of marginal constraints (see `_Marginals`).
+
+    Raises `NecessaryConditionError` unless every family's targets sum to
+    its map's image of the total the first identity-map family fixes (to
+    the total itself for a family without a map): all blocks together
+    sum to that total, whatever axes a family keeps.
+    """
     sets = [_Marginals(grid, *family) for family in families]
+    total = next(s for s in sets if s.kraus is None).flat_targets.sum(axis=0)
+    for cset in sets:
+        image = total if cset.smat is None else total @ cset.smat.T
+        gap = float(np.linalg.norm(cset.flat_targets.sum(axis=0) - image))
+        if gap > NECESSARY_TOL * math.sqrt(cset.targets.shape[-1]):
+            raise NecessaryConditionError(
+                f"target sums disagree with the image of the total (defect {gap:.3e})"
+            )
     pins, reach = _support_pins(sets, dim)
     x_in = np.zeros((math.prod(grid), dim, dim), dtype=complex)
     best = math.inf
@@ -475,57 +492,18 @@ def _solve(
 
 # --- channel questions -----------------------------------------------------
 
-def _heisenberg_preimage(
-    c: KrausChannel, b: Povm, opts: SolverOptions
-) -> FeasibilityOutcome:
-    """Search for an observable F on the output of `c` with c*(F_y) = B_y.
-
-    A feasible witness is the list of effects F_y in the label order of
-    `b` (see `witness_povm`).
-    """
-    eye = np.eye(c.dim_out, dtype=complex)
-    gap = frob(sum(b.effects) - heisenberg_apply(c, eye))
-    if gap > NECESSARY_TOL * math.sqrt(c.dim_in):
-        raise NecessaryConditionError(
-            f"effects do not sum to the dual image of the identity (defect {gap:.3e})"
-        )
-    families = [((), [eye], None), ((0,), b.effects, c.kraus)]
-    return _solve((len(b),), c.dim_out, families, opts, b.labels)
-
-
 def is_a_channel(
     c: KrausChannel, a: Povm, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> FeasibilityOutcome:
     """Decide whether the channel splits into branches measuring `a`.
 
     The branches of `c` are exactly the observables on its Stinespring
-    environment read through the conjugate channel, so a feasible
-    witness is such an observable.  When the channel already carries a
-    branch partition consistent with `a`, the indicators of its branches
-    are returned as the witness without running the solver.
+    environment read through the conjugate channel, so this is the
+    conjugate-channel test of the conjugate of `c`, and a feasible
+    witness is such an observable.  A branch partition the channel
+    carries plays no part: the solver decides every channel.
     """
-    if a.dim != c.dim_in:
-        raise ValueError("observable must live on the channel input space")
-    env = conjugate(c)
-    if c.partition is not None and c.labels == a.labels:
-        marks = tuple(
-            np.diag([complex(k in c.partition[lbl]) for k in range(len(c.kraus))])
-            for lbl in a.labels
-        )
-        gap = math.sqrt(sum(
-            frob(heisenberg_apply(env, f) - eff) ** 2
-            for f, eff in zip(marks, a.effects)
-        ))
-        if gap <= opts.tol:
-            return FeasibilityOutcome(
-                status=FEASIBLE,
-                residual=gap,
-                iterations=0,
-                reason="tol",
-                witness=marks,
-                witness_labels=a.labels,
-            )
-    return _heisenberg_preimage(env, a, opts)
+    return conjugate_is_b_channel(conjugate(c), a, opts)
 
 
 def conjugate_is_b_channel(
@@ -534,12 +512,15 @@ def conjugate_is_b_channel(
     """Decide whether the leaked side of the channel can measure `b`.
 
     Feasibility here is exactly the condition for some later observable
-    on the channel output to reproduce `b` on the input, and a feasible
-    witness is that observable's effects.
+    on the channel output to reproduce `b` on the input: an observable F
+    on the output with c*(F_y) = B_y.  A feasible witness is the list of
+    effects F_y in the label order of `b` (see `witness_povm`).
     """
     if b.dim != c.dim_in:
         raise ValueError("observable must live on the channel input space")
-    return _heisenberg_preimage(c, b, opts)
+    eye = np.eye(c.dim_out, dtype=complex)
+    families = [((), [eye], None), ((0,), b.effects, c.kraus)]
+    return _solve((len(b),), c.dim_out, families, opts, b.labels)
 
 
 def recover_b_prime(
@@ -579,13 +560,6 @@ def find_joint_observable(
         raise ValueError("observables must share one dimension")
     if len(observables) == 3 and dim > 4:
         raise ValueError("three-observable searches are limited to dimension four")
-    first_sum = sum(e for e in observables[0].effects)
-    for o in observables[1:]:
-        gap = frob(sum(e for e in o.effects) - first_sum)
-        if gap > NECESSARY_TOL * math.sqrt(dim):
-            raise NecessaryConditionError(
-                f"observable effect sums disagree (defect {gap:.3e})"
-            )
     grid = tuple(len(o) for o in observables)
     labels = tuple(
         sum(combo, ()) for combo in itertools.product(*(o.labels for o in observables))

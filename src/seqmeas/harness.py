@@ -214,7 +214,6 @@ def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
 
 def _check_luders_implementation(seed: int, opts: SolverOptions) -> tuple[str, dict]:
     lam = luders(qubit_binary(A_STRENGTH, AXIS_Z))
-    s2 = A_STRENGTH * A_STRENGTH
     rows = []
     worst = 0.0
     for theta in GRID_ANGLES[1:]:
@@ -222,7 +221,7 @@ def _check_luders_implementation(seed: int, opts: SolverOptions) -> tuple[str, d
         v = bloch_vector(heisenberg_apply(lam, sharp.effect((1,))))
         t_imp = float(np.linalg.norm(v))
         cos_imp = abs(float(v[2])) / t_imp
-        defect = abs(s2 + t_imp**2 - cos_imp**2 * s2 * t_imp**2 - 1.0)
+        defect = abs(busch_value(A_STRENGTH, t_imp, math.acos(min(1.0, cos_imp))) - 1.0)
         worst = max(worst, defect)
         rows.append({"theta": theta, "t_implemented": t_imp, "boundary_defect": defect})
     status = "pass" if worst <= 1e-10 else "fail"

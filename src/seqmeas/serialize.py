@@ -51,7 +51,10 @@ def _as_int(obj: Any, path: str) -> int:
 def _as_number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(obj).__name__}")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:
+        raise SchemaError(path, "integer too large for a float") from None
 
 
 def _as_list(obj: Any, path: str) -> list:
@@ -107,7 +110,14 @@ def matrix_from_json(obj: Any, path: str = "") -> np.ndarray:
                 _check_pair(entry, f"{path}/{i}/{j}")
     if width == 0:
         raise SchemaError(path, "matrix has no columns")
-    return np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
+    try:
+        return np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
+    except OverflowError:
+        # only now walk the entries, to name the one that overflowed
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                _check_pair(entry, f"{path}/{i}/{j}")
+        raise
 
 
 def _label_from_json(obj: Any, path: str) -> Label:

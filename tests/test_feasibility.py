@@ -131,13 +131,6 @@ def test_orthogonal_joint_rejects_excess_strength():
 # ----------------------------------------------------------- channel tests
 
 
-def test_partitioned_luders_channel_checks_without_iterating():
-    out = is_a_channel(luders(A08), A08)
-    assert out.status == FEASIBLE
-    assert out.iterations == 0
-    assert out.witness is not None
-
-
 def test_unpartitioned_luders_channel_needs_the_solver():
     bare = KrausChannel(2, 2, luders(A08).kraus, None)
     out = is_a_channel(bare, A08)
@@ -157,8 +150,14 @@ def test_channel_witness_is_an_observable_on_the_environment():
 
 
 def test_partitioned_witness_marks_the_branches():
+    # the Kraus operators of luders(A08) meet in K_+^dag K_- = 0.3 I, so a
+    # witness F_+ = [[a, b], [b*, c]] needs a - c = 1: the branch
+    # indicators are the only observable on the environment that works
     out = is_a_channel(luders(A08), A08)
-    assert [np.diag(f).real.tolist() for f in out.witness] == [[1, 0], [0, 1]]
+    assert out.status == FEASIBLE
+    marks = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    for f, mark in zip(out.witness, marks):
+        assert np.allclose(f, mark, atol=1e-7)
 
 
 def test_channel_test_rejects_a_lossy_channel():
@@ -179,13 +178,32 @@ def test_classical_channel_carries_its_own_observable():
     j = orthogonal_joint_observable(0.6, 0.6)
     out = is_a_channel(classical_channel(j), j)
     assert out.status == FEASIBLE
-    assert out.iterations == 0
 
 
 def test_classical_channel_carries_the_marginal():
     j = orthogonal_joint_observable(0.6, 0.6)
     out = is_a_channel(classical_channel(j), marginal(j, 0))
     assert out.status == FEASIBLE
+
+
+J06 = orthogonal_joint_observable(0.6, 0.6)
+
+
+@pytest.mark.parametrize(
+    "c, a",
+    [
+        (luders(A08), A08),
+        (universal_channel(A08), A08),
+        (classical_channel(J06), J06),
+        (identity_channel(2), A08),
+    ],
+    ids=["luders", "universal", "classical", "identity"],
+)
+def test_channel_test_is_the_conjugate_test_of_the_conjugate(c, a):
+    out = is_a_channel(c, a)
+    ref = conjugate_is_b_channel(conjugate(c), a)
+    assert (out.status, out.reason, out.iterations) == (ref.status, ref.reason, ref.iterations)
+    assert out.residual == ref.residual
 
 
 def test_channel_test_requires_matching_input_dimension():
@@ -373,6 +391,33 @@ def test_joint_search_rejects_mismatched_effect_sums():
     )
     with pytest.raises(NecessaryConditionError, match="sums"):
         find_joint_observable(A08, lossy)
+
+
+def _scaled(p: Povm, factor: float) -> Povm:
+    return Povm(p.dim, tuple((lbl, factor * eff) for lbl, eff in p.outcomes))
+
+
+_LOSSY = KrausChannel(2, 2, (0.5 * np.eye(2, dtype=complex),), None)
+
+
+@pytest.mark.parametrize(
+    "question, refuted",
+    [
+        (lambda: find_joint_observable(A08, _scaled(B06, 0.9)), True),
+        (lambda: find_joint_observable(A08, B06, _scaled(B07, 1.1)), True),
+        (lambda: conjugate_is_b_channel(_LOSSY, A08), True),
+        (lambda: is_a_channel(_LOSSY, A08), True),
+        # c*(I) = I / 4, and B = A08 / 4 sums to it: F = A08 works
+        (lambda: conjugate_is_b_channel(_LOSSY, _scaled(A08, 0.25)), False),
+    ],
+    ids=["pair", "triple", "lossy-conjugate", "lossy-channel", "lossy-matched"],
+)
+def test_targets_must_sum_to_the_image_of_the_total(question, refuted):
+    if refuted:
+        with pytest.raises(NecessaryConditionError, match="sums"):
+            question()
+    else:
+        assert question().status == FEASIBLE
 
 
 @pytest.mark.parametrize("case", range(5))

@@ -64,6 +64,8 @@ def test_matrix_encoding_layout():
         ([[[True, 0]]], "/m/0/0/0"),
         ([[0]], "/m/0/0"),
         ([[[0, None]]], "/m/0/0/1"),
+        ([[[0, 0], [0, 10**400]]], "/m/0/1/1"),
+        ([[[-(10**400), "x"]]], "/m/0/0/0"),
     ],
 )
 def test_matrix_schema_errors_carry_paths(doc, path_part):
