@@ -131,6 +131,16 @@ def test_orthogonal_joint_rejects_excess_strength():
 # ----------------------------------------------------------- channel tests
 
 
+def test_partitioned_luders_channel_checks_without_iterating():
+    # the branch indicators solve the Lüders channel's question exactly, so
+    # the first sweep already meets tol and no second one runs
+    out = is_a_channel(luders(A08), A08)
+    assert out.status == FEASIBLE
+    assert out.reason == "tol"
+    assert out.iterations == 1
+    assert out.witness is not None
+
+
 def test_unpartitioned_luders_channel_needs_the_solver():
     bare = KrausChannel(2, 2, luders(A08).kraus, None)
     out = is_a_channel(bare, A08)
