@@ -64,10 +64,10 @@ def per_call(fn) -> float:
     return statistics.median(batches)
 
 
-def random_pair(rng, d: int):
-    """Marginals of a random full-rank 2 x 2 joint observable on C^d."""
+def random_joint(rng, d: int):
+    """A random full-rank 2 x 2 joint observable on C^d."""
     import numpy as np
-    from seqmeas.povm import Povm, marginals
+    from seqmeas.povm import Povm
 
     grams = []
     for _ in range(4):
@@ -75,9 +75,15 @@ def random_pair(rng, d: int):
         grams.append(g @ g.conj().T)
     vals, vecs = np.linalg.eigh(sum(grams))
     root = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
-    joint = Povm(d, tuple(((x, y), root @ grams[2 * x + y] @ root)
-                          for x in range(2) for y in range(2)))
-    return marginals(joint)
+    return Povm(d, tuple(((x, y), root @ grams[2 * x + y] @ root)
+                         for x in range(2) for y in range(2)))
+
+
+def random_pair(rng, d: int):
+    """Marginals of `random_joint`."""
+    from seqmeas.povm import marginals
+
+    return marginals(random_joint(rng, d))
 
 
 def write_documents(where: str, d: int) -> dict:
@@ -164,6 +170,24 @@ def machine() -> dict:
     }
 
 
+def write_column(path: str, script: str, column: str, info: dict, rows: dict) -> None:
+    """Put `rows` ({name: (unit, value)}) into column `column` of the JSON
+    table at `path`, keeping the columns already there, and print them."""
+    doc = {"script": script, "clock": "median CPU time of one call",
+           "columns": {}, "rows": {}}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc["columns"][column] = info
+    for name, (unit, value) in rows.items():
+        doc["rows"].setdefault(name, {"unit": unit})[column] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    for name, (unit, value) in rows.items():
+        print(f"{name:34s} {value:12.4f} {unit}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--column", required=True, help="name of this run's column")
@@ -176,20 +200,7 @@ def main() -> int:
         rows = measure(workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-
-    doc = {"script": "scripts/bench_cli.py", "clock": "median CPU time of one call",
-           "columns": {}, "rows": {}}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    doc["columns"][args.column] = machine()
-    for name, (unit, value) in rows.items():
-        doc["rows"].setdefault(name, {"unit": unit})[args.column] = value
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    for name, (unit, value) in rows.items():
-        print(f"{name:34s} {value:12.4f} {unit}")
+    write_column(args.out, "scripts/bench_cli.py", args.column, machine(), rows)
     return 0
 
 

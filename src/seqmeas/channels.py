@@ -1,10 +1,12 @@
 """Quantum channels in Kraus form.
 
-A channel holds Kraus operators mapping C^dim_in to C^dim_out.  An optional
-partition groups Kraus indices into labeled branches, turning the channel
-into an instrument: branch x implements the completely positive map
-rho -> sum_{i in branch x} K_i rho K_i^dag, and the branch traces define the
-observable the instrument measures.
+A channel holds its Kraus operators, maps from C^dim_in to C^dim_out, as
+one complex array of shape (n, dim_out, dim_in).  An optional partition
+groups Kraus indices into labeled branches, turning the channel into an
+instrument: branch x, the slice of the array at its indices, implements
+rho -> sum_{i in branch x} K_i rho K_i^dag, and the branch traces define
+the observable the instrument measures.  Every action, of the whole
+channel or of one branch, is one batched product over such a slice.
 
 Choi matrices, returned as plain arrays, use the output factor first, built
 from row-major vec, so the partial trace of a Choi matrix over the output
@@ -44,26 +46,27 @@ __all__ = [
 class KrausChannel:
     """A completely positive map given by Kraus operators.
 
-    ``partition`` optionally assigns every Kraus index to exactly one
-    outcome label.  Construction checks shapes and partition structure,
-    not trace preservation; see :func:`is_trace_preserving`.
+    ``kraus``, matrices stacking to shape (n, dim_out, dim_in), is stored
+    as that complex array.  ``partition`` optionally assigns every Kraus
+    index to exactly one outcome label, and a label may own none.
+    Construction checks shapes and partition structure, not trace
+    preservation; see :func:`is_trace_preserving`.
     """
 
     dim_in: int
     dim_out: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     partition: Mapping[Label, tuple[int, ...]] | None = None
 
     def __post_init__(self):
-        if not self.kraus:
+        ops = as_complex(self.kraus)
+        if len(ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        ops = tuple(as_complex(k) for k in self.kraus)
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus operator shape {k.shape}, expected "
-                    f"{(self.dim_out, self.dim_in)}"
-                )
+        if ops.shape[1:] != (self.dim_out, self.dim_in):
+            raise ValueError(
+                f"Kraus operator shape {ops.shape[1:]}, expected "
+                f"{(self.dim_out, self.dim_in)}"
+            )
         object.__setattr__(self, "kraus", ops)
         if self.partition is not None:
             part = {
@@ -91,7 +94,7 @@ def identity_channel(dim: int) -> KrausChannel:
 
 
 def is_trace_preserving(c: KrausChannel, tol: float = PSD_TOL) -> bool:
-    total = sum(dagger(k) @ k for k in c.kraus)
+    total = (dagger(c.kraus) @ c.kraus).sum(axis=0)
     return bool(frob(total - np.eye(c.dim_in)) <= tol * np.sqrt(c.dim_in))
 
 
@@ -110,49 +113,50 @@ def _check_state(c: KrausChannel, state: np.ndarray) -> np.ndarray:
     return state
 
 
-def _kraus_sum(
-    c: KrausChannel, ops: Sequence[np.ndarray], t: np.ndarray, dual: bool = False
-) -> np.ndarray:
-    """sum_k K t K^dag over the given Kraus operators of `c`, or sum_k K^dag t K
-    when `dual`."""
-    n = c.dim_in if dual else c.dim_out
-    out = np.zeros((n, n), dtype=np.complex128)
-    for k in ops:
-        out += dagger(k) @ t @ k if dual else k @ t @ dagger(k)
-    return out
+def _check_operators(c: KrausChannel, t: np.ndarray) -> np.ndarray:
+    t = as_complex(t)
+    if t.shape[-2:] != (c.dim_out, c.dim_out):
+        raise ValueError(
+            f"operator shape {t.shape} does not match dim_out {c.dim_out}"
+        )
+    return t
+
+
+def _dual(kraus: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k K_k^dag t K_k over a stack (n, m, d) of operators K_k, for one
+    m x m operator t or for each of a stack (..., m, m) of them."""
+    k = kraus.reshape(kraus.shape[:1] + (1,) * (t.ndim - 2) + kraus.shape[1:])
+    return (dagger(k) @ t @ k).sum(axis=0)
 
 
 def apply(c: KrausChannel, state: np.ndarray) -> np.ndarray:
     """Schroedinger action on a density matrix."""
-    return _kraus_sum(c, c.kraus, _check_state(c, state))
+    return _dual(dagger(c.kraus), _check_state(c, state))
 
 
 def heisenberg_apply(c: KrausChannel, t: np.ndarray) -> np.ndarray:
-    """Dual action on an operator of the output space."""
-    t = as_complex(t)
-    if t.shape != (c.dim_out, c.dim_out):
-        raise ValueError(
-            f"operator shape {t.shape} does not match dim_out {c.dim_out}"
-        )
-    return _kraus_sum(c, c.kraus, t, dual=True)
+    """Dual action on an operator of the output space, or on each of a
+    stack (..., dim_out, dim_out) of them."""
+    return _dual(c.kraus, _check_operators(c, t))
 
 
-def _branch(c: KrausChannel, label) -> tuple[np.ndarray, ...]:
+def _branch(c: KrausChannel, label) -> np.ndarray:
     if c.partition is None:
         raise ValueError("channel carries no branch partition")
     lbl = as_label(label)
     if lbl not in c.partition:
         raise KeyError(f"no branch labeled {lbl}")
-    return tuple(c.kraus[i] for i in c.partition[lbl])
+    return c.kraus[list(c.partition[lbl])]
 
 
 def apply_branch(c: KrausChannel, label, state: np.ndarray) -> np.ndarray:
     """Unnormalized post-measurement output of a single branch."""
-    return _kraus_sum(c, _branch(c, label), _check_state(c, state))
+    return _dual(dagger(_branch(c, label)), _check_state(c, state))
 
 
 def heisenberg_branch(c: KrausChannel, label, t: np.ndarray) -> np.ndarray:
-    return _kraus_sum(c, _branch(c, label), as_complex(t), dual=True)
+    """Dual action of one branch, on operators shaped as for `heisenberg_apply`."""
+    return _dual(_branch(c, label), _check_operators(c, t))
 
 
 def branch_observable(c: KrausChannel) -> Povm:
@@ -167,12 +171,8 @@ def branch_observable(c: KrausChannel) -> Povm:
 def choi(c: KrausChannel) -> np.ndarray:
     """Choi matrix sum_k vec(K_k) vec(K_k)^dag on C^dim_out (x) C^dim_in,
     output factor first, with row-major vec."""
-    n = c.dim_out * c.dim_in
-    m = np.zeros((n, n), dtype=np.complex128)
-    for k in c.kraus:
-        v = k.reshape(-1)
-        m += np.outer(v, v.conj())
-    return m
+    vecs = c.kraus.reshape(len(c.kraus), -1)
+    return vecs.T @ vecs.conj()
 
 
 def luders(a: Povm) -> KrausChannel:
@@ -210,7 +210,7 @@ def classical_channel(
     pointer = {val: i for i, val in enumerate(sorted(set(readouts)))}
     dim_out = len(pointer)
     kraus: list[np.ndarray] = []
-    partition: dict[Label, list[int]] = {}
+    partition: dict[Label, list[int]] = {key: [] for key in keys}
     for (lbl, eff), readout, key in zip(m.outcomes, readouts, keys):
         vals, vecs = herm_eig(eff)
         row = pointer[readout]
@@ -220,16 +220,15 @@ def classical_channel(
                 continue
             op = np.zeros((dim_out, m.dim), dtype=np.complex128)
             op[row, :] = np.sqrt(lam) * vecs[:, rank].conj()
-            partition.setdefault(key, []).append(len(kraus))
+            partition[key].append(len(kraus))
             kraus.append(op)
-    part = {k: tuple(v) for k, v in partition.items()}
-    return KrausChannel(m.dim, dim_out, tuple(kraus), part)
+    return KrausChannel(m.dim, dim_out, kraus, partition)
 
 
 def stinespring(c: KrausChannel) -> np.ndarray:
     """Isometry V psi = sum_e (K_e psi) (x) |e> into C^dim_out (x) C^#Kraus,
     one environment dimension per Kraus operator, environment factor second."""
-    return np.stack(c.kraus, axis=1).reshape(c.dim_out * len(c.kraus), c.dim_in)
+    return c.kraus.transpose(1, 0, 2).reshape(c.dim_out * len(c.kraus), c.dim_in)
 
 
 def conjugate(c: KrausChannel) -> KrausChannel:
@@ -239,9 +238,7 @@ def conjugate(c: KrausChannel) -> KrausChannel:
     Kraus decomposition; all decompositions give conjugates equivalent for
     the questions asked here, and this one is the canonical choice.
     """
-    stacked = np.stack(c.kraus, axis=0)  # (env, out, in)
-    kraus = tuple(stacked[:, a, :] for a in range(c.dim_out))
-    return KrausChannel(c.dim_in, len(c.kraus), kraus)
+    return KrausChannel(c.dim_in, len(c.kraus), c.kraus.transpose(1, 0, 2))
 
 
 def nondisturbing(c: KrausChannel, b: Povm, tol: float = PSD_TOL) -> bool:
@@ -250,6 +247,6 @@ def nondisturbing(c: KrausChannel, b: Povm, tol: float = PSD_TOL) -> bool:
         raise ValueError("nondisturbance needs matching input and output spaces")
     if b.dim != c.dim_out:
         raise ValueError("observable does not act on the channel's output space")
-    return all(
-        frob(heisenberg_apply(c, eff) - eff) <= tol for eff in b.effects
-    )
+    effects = np.stack(b.effects)
+    gaps = np.linalg.norm(heisenberg_apply(c, effects) - effects, axis=(1, 2))
+    return bool((gaps <= tol).all())

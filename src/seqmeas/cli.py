@@ -128,7 +128,8 @@ def _echo_flags(args) -> tuple[str, ...]:
     skip = {"func", "json_out", "command"}
     parts = []
     for key, value in sorted(vars(args).items()):
-        if key in skip or value in (None, False):
+        # by identity: a set flag such as --tol 0 equals False
+        if key in skip or value is None or value is False:
             continue
         parts.append(f"{key}={value}")
     return tuple(parts)

@@ -205,8 +205,9 @@ def _project_psd(blocks: np.ndarray) -> np.ndarray:
 
 class _Marginals:
     """Affine set: the block sums over the grid axes outside `keep`, read
-    through X -> sum_k K^dag X K (the identity when `kraus` is None),
-    equal `targets`, one per cell of the kept axes in row-major order.
+    through X -> sum_k K^dag X K over the (n, d_out, d_in) array `kraus`
+    (the identity when `kraus` is None), equal `targets`, one per cell of
+    the kept axes in row-major order.
     """
 
     def __init__(
@@ -214,7 +215,7 @@ class _Marginals:
         grid: tuple[int, ...],
         keep: tuple[int, ...],
         targets: Sequence[np.ndarray],
-        kraus: Sequence[np.ndarray] | None = None,
+        kraus: np.ndarray | None = None,
     ):
         self.grid = grid
         self.keep = keep
@@ -229,16 +230,15 @@ class _Marginals:
         self.gain = 1.0
         self.lifted = self.lift + self.targets.shape[1:]
         if kraus is not None:
-            k = np.stack(kraus)
-            n_k, d_out, d_in = k.shape
+            n_k, d_out, d_in = kraus.shape
             self.lifted = self.lift + (d_out, d_out)
             # row-major vec(K^dag X K) = kron(K^dag, K^T) vec(X), summed over K
-            kt = np.conj(k).transpose(2, 1, 0).reshape(d_in * d_out, n_k)
-            smat = kt @ k.transpose(0, 2, 1).reshape(n_k, d_in * d_out)
+            kt = np.conj(kraus).transpose(2, 1, 0).reshape(d_in * d_out, n_k)
+            smat = kt @ kraus.transpose(0, 2, 1).reshape(n_k, d_in * d_out)
             smat = smat.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
             self.smat = smat.reshape(d_in * d_in, d_out * d_out)
             # smat smat^dag is X -> sum_kl G X G^dag over G = K_k^dag K_l
-            g = (np.conj(np.swapaxes(k, 1, 2))[:, None] @ k).reshape(-1, d_in * d_in)
+            g = (dagger(kraus)[:, None] @ kraus).reshape(-1, d_in * d_in)
             gram = (g.T @ g.conj()).reshape(d_in, d_in, d_in, d_in)
             gram = gram.transpose(0, 2, 1, 3).reshape(d_in * d_in, d_in * d_in)
             # the Gram matrix is PSD, so its pseudo-inverse comes from eigh
@@ -330,7 +330,7 @@ def _support_pins(sets: Sequence[_Marginals], dim: int) -> tuple[np.ndarray | No
         return None, 0.0
     images = [
         kerns if s.kraus is None
-        else [(np.hstack([k @ v for k in s.kraus]), cut) for v, cut in kerns]
+        else [(np.concatenate(s.kraus @ v, axis=1), cut) for v, cut in kerns]
         for s, kerns in zip(sets, kernels)
     ]
     traces = [

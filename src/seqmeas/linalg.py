@@ -78,8 +78,8 @@ BOUNDARY_SLACK = 1e-12
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose, of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def frob(m: np.ndarray) -> float:

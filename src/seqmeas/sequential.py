@@ -31,7 +31,7 @@ from .channels import (
     heisenberg_branch,
 )
 from .dilation import naimark_minimal
-from .linalg import CHECK_TOL, MARGINAL_TOL, dagger, frob
+from .linalg import CHECK_TOL, MARGINAL_TOL, dagger
 from .povm import Povm, effects_close, marginal
 
 __all__ = [
@@ -51,7 +51,7 @@ def universal_channel(a: Povm) -> KrausChannel:
     operator per outcome of ``a``, so branch traces reproduce ``a``.
     """
     d = naimark_minimal(a)
-    kraus = tuple(proj @ d.isometry for _, proj in d.sharp.outcomes)
+    kraus = np.stack(d.sharp.effects) @ d.isometry
     partition = {lbl: (i,) for i, lbl in enumerate(d.sharp.labels)}
     return KrausChannel(a.dim, d.dim_k, kraus, partition)
 
@@ -115,10 +115,9 @@ def verify_sequential(
         raise ValueError("observable dimensions do not match the channel")
     if b_prime.labels != b.labels:
         raise ValueError("outcome labels do not match")
-    return all(
-        frob(heisenberg_apply(channel, ep) - e) <= tol
-        for ep, e in zip(b_prime.effects, b.effects)
-    )
+    recovered = heisenberg_apply(channel, np.stack(b_prime.effects))
+    gaps = np.linalg.norm(recovered - np.stack(b.effects), axis=(1, 2))
+    return bool((gaps <= tol).all())
 
 
 def implemented_joint(channel: KrausChannel, b_prime: Povm) -> Povm:
@@ -131,10 +130,11 @@ def implemented_joint(channel: KrausChannel, b_prime: Povm) -> Povm:
         raise ValueError("channel carries no branch partition")
     if b_prime.dim != channel.dim_out:
         raise ValueError("observable does not act on the channel output")
+    effects = np.stack(b_prime.effects)
     outcomes = []
     for x_lbl in channel.labels:
-        for y_lbl, eff in b_prime.outcomes:
-            outcomes.append((x_lbl + y_lbl, heisenberg_branch(channel, x_lbl, eff)))
+        joint = heisenberg_branch(channel, x_lbl, effects)
+        outcomes.extend((x_lbl + y_lbl, eff) for y_lbl, eff in zip(b_prime.labels, joint))
     return Povm(channel.dim_in, tuple(outcomes))
 
 

@@ -175,7 +175,7 @@ def channel_to_json(c: KrausChannel) -> dict:
     doc: dict = {
         "dim_in": c.dim_in,
         "dim_out": c.dim_out,
-        "kraus": [matrix_to_json(k) for k in c.kraus],
+        "kraus": matrix_to_json(c.kraus),
     }
     if c.partition is not None:
         doc["partition"] = {

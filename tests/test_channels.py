@@ -1,9 +1,12 @@
 """Tests for Kraus channels, Choi matrices and Stinespring forms."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqmeas.channels import (
     KrausChannel,
@@ -30,12 +33,14 @@ from seqmeas.povm import (
     SIGMA_Z,
     Povm,
     effects_close,
+    marginal,
     marginals,
     qubit_binary,
     refinement_joint,
     trivial,
     validate,
 )
+from seqmeas.serialize import channel_from_json, channel_to_json
 
 RNG = np.random.default_rng(314159)
 EYE = np.eye(2, dtype=complex)
@@ -69,6 +74,15 @@ def test_kraus_shape_checked():
         KrausChannel(2, 3, (np.eye(2),))
     with pytest.raises(ValueError):
         KrausChannel(2, 2, ())
+
+
+def test_stacked_kraus_array_builds_the_same_channel():
+    ks = tuple(random_channel(3, 2, 3).kraus)
+    from_tuple = KrausChannel(3, 2, ks, {(0,): (0, 2), (1,): (1,)})
+    from_array = KrausChannel(3, 2, np.stack(ks), {(0,): (0, 2), (1,): (1,)})
+    assert from_array.kraus.shape == (3, 2, 3)
+    assert np.array_equal(from_array.kraus, from_tuple.kraus)
+    assert from_array.partition == from_tuple.partition
 
 
 def test_partition_must_cover_indices():
@@ -157,6 +171,80 @@ def test_branch_requires_partition():
         apply_branch(c, (0,), EYE / 2)
 
 
+def test_branch_dual_checks_the_operator_shape():
+    c = luders(qubit_binary(0.8, AXIS_Z))
+    for t in (np.eye(3), np.ones(2), np.ones((4, 3, 3))):
+        with pytest.raises(ValueError, match="does not match dim_out"):
+            heisenberg_apply(c, t)
+        with pytest.raises(ValueError, match="does not match dim_out"):
+            heisenberg_branch(c, (1,), t)
+
+
+@st.composite
+def partitioned_channels(draw):
+    """A random instrument, some of whose branches may own no Kraus
+    operator, with a state on its input and a stack of output operators."""
+    d_in, d_out, n = (draw(st.integers(1, 4)) for _ in range(3))
+    n_labels = draw(st.integers(1, 3))
+    owner = [draw(st.integers(0, n_labels - 1)) for _ in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ks = rng.normal(size=(n, d_out, d_in)) + 1j * rng.normal(size=(n, d_out, d_in))
+    part = {(x,): tuple(i for i in range(n) if owner[i] == x) for x in range(n_labels)}
+    g = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+    rho = g @ dagger(g)
+    m = draw(st.integers(1, 3))
+    ts = rng.normal(size=(m, d_out, d_out)) + 1j * rng.normal(size=(m, d_out, d_out))
+    return KrausChannel(d_in, d_out, tuple(ks), part), rho / np.trace(rho), ts
+
+
+def close(got, want):
+    """Equal up to the roundoff of a reordered sum: a few dozen products of
+    O(1) entries move it far less than 1e-12 of the largest entry."""
+    want = np.asarray(want)
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    return got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(partitioned_channels())
+def test_batched_actions_match_the_kraus_sums(problem):
+    c, rho, ts = problem
+    ks = list(c.kraus)
+
+    def dual(ops, t):
+        return sum((dagger(k) @ t @ k for k in ops), np.zeros((c.dim_in,) * 2))
+
+    def schroedinger(ops):
+        return sum((k @ rho @ dagger(k) for k in ops), np.zeros((c.dim_out,) * 2))
+
+    assert close(apply(c, rho), schroedinger(ks))
+    assert close(heisenberg_apply(c, ts[0]), dual(ks, ts[0]))
+    whole = heisenberg_apply(c, ts)
+    assert close(whole, [dual(ks, t) for t in ts])
+    branch_duals, branch_states = 0, 0
+    for lbl, idx in c.partition.items():
+        got = heisenberg_branch(c, lbl, ts)
+        assert close(got, [dual([ks[i] for i in idx], t) for t in ts])
+        out = apply_branch(c, lbl, rho)
+        assert close(out, schroedinger([ks[i] for i in idx]))
+        branch_duals, branch_states = branch_duals + got, branch_states + out
+    assert close(branch_duals, whole)
+    assert close(branch_states, apply(c, rho))
+    vecs = [k.reshape(-1) for k in ks]
+    assert close(choi(c), sum(np.outer(v, v.conj()) for v in vecs))
+    env = np.eye(len(ks))
+    assert np.array_equal(
+        stinespring(c), sum(np.kron(k, env[:, [e]]) for e, k in enumerate(ks))
+    )
+    # conjugate Kraus operator a has row e equal to row a of K_e
+    cc = conjugate(c)
+    assert (cc.dim_in, cc.dim_out) == (c.dim_in, len(ks))
+    assert all(
+        np.array_equal(cc.kraus[a][e], ks[e][a])
+        for a in range(c.dim_out) for e in range(len(ks))
+    )
+
+
 # --- Choi ----------------------------------------------------------------
 
 def test_choi_of_identity_is_maximally_entangled():
@@ -239,6 +327,21 @@ def test_classical_channel_skips_null_directions():
     p = qubit_binary(1.0, AXIS_Z)
     c = classical_channel(p)
     assert len(c.kraus) == 2
+
+
+def test_classical_channel_keeps_a_branch_for_every_outcome():
+    # the refinement joint of a binary has two zero effects, and the
+    # readout joint below has a whole branch of them
+    full = refinement_joint(qubit_binary(0.8, AXIS_Z))
+    zero = np.zeros((2, 2))
+    half = Povm(2, (((0, 0), EYE / 2), ((0, 1), EYE / 2), ((1, 0), zero), ((1, 1), zero)))
+    for m, axes, kept in ((full, None, full), (half, (1,), marginal(half, 0))):
+        c = classical_channel(m, readout_axes=axes)
+        assert c.labels == kept.labels
+        assert effects_close(branch_observable(c), kept, tol=1e-12)
+        back = channel_from_json(json.loads(json.dumps(channel_to_json(c))))
+        assert back.partition == c.partition
+        assert () in back.partition.values()
 
 
 def test_classical_channel_readout_axes_validation():

@@ -336,6 +336,14 @@ def test_consecutive_calls_share_the_parser_but_not_its_state(tmp_path, capsys):
     assert not any(part.startswith("tol=") for part in second["command"])
 
 
+def test_report_echoes_a_flag_set_to_zero(files, tmp_path):
+    _, write = files
+    report = tmp_path / "r.json"
+    a, b = write("a.json", povm_to_json(A08)), write("b.json", povm_to_json(B06))
+    assert main(["joint", a, b, "--tol", "0", "--json-out", str(report)]) == 0
+    assert "tol=0.0" in json.loads(report.read_text())["command"]
+
+
 def test_version_exit_leaves_the_parser_usable(files, capsys):
     _, write = files
     with pytest.raises(SystemExit) as stop:

@@ -669,7 +669,7 @@ def marginal_problems(draw):
         # singular values in [0.5, 1] keep the map well conditioned, so
         # roundoff stays far below the tolerances checked
         sv = rng.uniform(0.5, 1.0, size=(shape[0], min(d_out, d_in)))
-        kraus = list((u[..., : sv.shape[1]] * sv[:, None]) @ vh[:, : sv.shape[1]])
+        kraus = (u[..., : sv.shape[1]] * sv[:, None]) @ vh[:, : sv.shape[1]]
 
     def point():
         shape = (math.prod(grid), d_out, d_out)
