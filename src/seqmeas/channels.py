@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linalg import PSD_TOL, RANK_TOL, STATE_TOL, as_complex, dagger, frob, herm_eig, sqrt_psd
-from .povm import Label, Povm, as_label
+from .povm import Label, Povm, as_axes, as_label
 
 __all__ = [
     "KrausChannel",
@@ -47,10 +47,10 @@ class KrausChannel:
     """A completely positive map given by Kraus operators.
 
     ``kraus``, matrices stacking to shape (n, dim_out, dim_in), is stored
-    as that complex array.  ``partition`` optionally assigns every Kraus
-    index to exactly one outcome label, and a label may own none.
-    Construction checks shapes and partition structure, not trace
-    preservation; see :func:`is_trace_preserving`.
+    as a read-only complex copy of that array.  ``partition`` optionally
+    assigns every Kraus index to exactly one outcome label, and a label may
+    own none.  Construction checks shapes and partition structure, not
+    trace preservation; see :func:`is_trace_preserving`.
     """
 
     dim_in: int
@@ -59,7 +59,7 @@ class KrausChannel:
     partition: Mapping[Label, tuple[int, ...]] | None = None
 
     def __post_init__(self):
-        ops = as_complex(self.kraus)
+        ops = np.array(self.kraus, dtype=np.complex128)
         if len(ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         if ops.shape[1:] != (self.dim_out, self.dim_in):
@@ -67,6 +67,7 @@ class KrausChannel:
                 f"Kraus operator shape {ops.shape[1:]}, expected "
                 f"{(self.dim_out, self.dim_in)}"
             )
+        ops.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
         if self.partition is not None:
             part = {
@@ -201,9 +202,9 @@ def classical_channel(
         readouts = list(m.labels)
         keys = list(m.labels)
     else:
-        axes = tuple(readout_axes)
+        axes = as_axes(m, readout_axes)
         rest = tuple(ax for ax in range(m.arity) if ax not in axes)
-        if not axes or not rest:
+        if not rest:
             raise ValueError("readout axes must be a proper nonempty subset")
         readouts = [tuple(lbl[ax] for ax in axes) for lbl in m.labels]
         keys = [tuple(lbl[ax] for ax in rest) for lbl in m.labels]
@@ -211,7 +212,7 @@ def classical_channel(
     dim_out = len(pointer)
     kraus: list[np.ndarray] = []
     partition: dict[Label, list[int]] = {key: [] for key in keys}
-    for (lbl, eff), readout, key in zip(m.outcomes, readouts, keys):
+    for eff, readout, key in zip(m.effects, readouts, keys):
         vals, vecs = herm_eig(eff)
         row = pointer[readout]
         for rank in range(len(vals) - 1, -1, -1):
@@ -247,6 +248,5 @@ def nondisturbing(c: KrausChannel, b: Povm, tol: float = PSD_TOL) -> bool:
         raise ValueError("nondisturbance needs matching input and output spaces")
     if b.dim != c.dim_out:
         raise ValueError("observable does not act on the channel's output space")
-    effects = np.stack(b.effects)
-    gaps = np.linalg.norm(heisenberg_apply(c, effects) - effects, axis=(1, 2))
+    gaps = np.linalg.norm(heisenberg_apply(c, b.effects) - b.effects, axis=(1, 2))
     return bool((gaps <= tol).all())

@@ -143,9 +143,8 @@ def _check(name: str, status: str, seconds: float, details: dict) -> CheckResult
 
 
 def _validate_povm(p: Povm, tol: float) -> tuple[int, str, dict]:
-    total = sum(p.effects)
-    norm_gap = frob(total - np.eye(p.dim))
-    psd_ok = all(is_psd(e, tol) for e in p.effects)
+    norm_gap = frob(p.effects.sum(axis=0) - np.eye(p.dim))
+    psd_ok = is_psd(p.effects, tol)
     details = {
         "kind": "povm",
         "dim": p.dim,
@@ -187,7 +186,7 @@ def cmd_validate(args) -> int:
         # a dilation dilates V^dag A_hat(x) V by construction, so only the
         # isometry and the sharp observable are on trial
         v = d.isometry
-        dilated = Povm(d.dim, tuple((x, dagger(v) @ p @ v) for x, p in d.sharp.outcomes))
+        dilated = Povm(d.dim, zip(d.sharp.labels, dagger(v) @ d.sharp.effects @ v))
         verified = verify_dilation(dilated, d, tol)
         details = {"kind": "dilation", "dim_k": d.dim_k, "verified": verified}
         code = PASS if verified else FAIL

@@ -55,18 +55,15 @@ class NaimarkDilation:
         return self.isometry.shape[1]
 
 
-def _stacked(blocks: list[tuple[Label, np.ndarray]]) -> NaimarkDilation:
+def _stacked(labels: tuple[Label, ...], blocks: list[np.ndarray]) -> NaimarkDilation:
     """The dilation V = (B_x stacked in order) with A_hat(x) the projector
     onto the rows of B_x, so that V^dag A_hat(x) V = B_x^dag B_x."""
-    v = np.vstack([b for _, b in blocks])
+    v = np.vstack(blocks)
     dim_k = v.shape[0]
-    outcomes, row = [], 0
-    for lbl, b in blocks:
-        proj = np.zeros((dim_k, dim_k), dtype=np.complex128)
-        proj[row : row + len(b), row : row + len(b)] = np.eye(len(b))
-        outcomes.append((lbl, proj))
-        row += len(b)
-    return NaimarkDilation(dim_k, v, Povm(dim_k, tuple(outcomes)))
+    owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    projs = np.zeros((len(blocks), dim_k, dim_k), dtype=np.complex128)
+    projs[owner, np.arange(dim_k), np.arange(dim_k)] = 1.0
+    return NaimarkDilation(dim_k, v, Povm(dim_k, zip(labels, projs)))
 
 
 def naimark_canonical(a: Povm) -> NaimarkDilation:
@@ -75,7 +72,7 @@ def naimark_canonical(a: Povm) -> NaimarkDilation:
     Block x of the dilation space carries a full copy of H; the sharp effect
     for x is the projection onto that block.
     """
-    return _stacked([(lbl, sqrt_psd(eff)) for lbl, eff in a.outcomes])
+    return _stacked(a.labels, [sqrt_psd(eff) for eff in a.effects])
 
 
 def naimark_minimal(a: Povm) -> NaimarkDilation:
@@ -86,10 +83,9 @@ def naimark_minimal(a: Povm) -> NaimarkDilation:
     deterministic.  The result is minimal: the vectors A_hat(x) V e_i span
     the whole dilation space.
     """
-    return _stacked([
-        (lbl, dagger(range_isometry(eff)) @ sqrt_psd(eff))
-        for lbl, eff in a.outcomes
-    ])
+    return _stacked(
+        a.labels, [dagger(range_isometry(eff)) @ sqrt_psd(eff) for eff in a.effects]
+    )
 
 
 def verify_dilation(a: Povm, d: NaimarkDilation, tol: float = PSD_TOL) -> bool:
@@ -101,15 +97,13 @@ def verify_dilation(a: Povm, d: NaimarkDilation, tol: float = PSD_TOL) -> bool:
         return False
     if not validate(d.sharp, tol) or not is_sharp(d.sharp, tol):
         return False
-    return all(
-        frob(dagger(v) @ proj @ v - eff) <= tol
-        for (_, proj), (_, eff) in zip(d.sharp.outcomes, a.outcomes)
-    )
+    gaps = np.linalg.norm(dagger(v) @ d.sharp.effects @ v - a.effects, axis=(1, 2))
+    return bool((gaps <= tol).all())
 
 
 def _spanning_matrix(d: NaimarkDilation) -> np.ndarray:
     """Columns A_hat(x) V e_i for all outcomes x and basis vectors e_i."""
-    return np.hstack([proj @ d.isometry for _, proj in d.sharp.outcomes])
+    return np.hstack(d.sharp.effects @ d.isometry)
 
 
 def is_minimal(d: NaimarkDilation) -> bool:

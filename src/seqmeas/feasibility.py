@@ -214,7 +214,7 @@ class _Marginals:
         self,
         grid: tuple[int, ...],
         keep: tuple[int, ...],
-        targets: Sequence[np.ndarray],
+        targets: np.ndarray,
         kraus: np.ndarray | None = None,
     ):
         self.grid = grid
@@ -519,7 +519,7 @@ def conjugate_is_b_channel(
     if b.dim != c.dim_in:
         raise ValueError("observable must live on the channel input space")
     eye = np.eye(c.dim_out, dtype=complex)
-    families = [((), [eye], None), ((0,), b.effects, c.kraus)]
+    families = [((), eye[None], None), ((0,), b.effects, c.kraus)]
     return _solve((len(b),), c.dim_out, families, opts, b.labels)
 
 

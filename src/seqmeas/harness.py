@@ -280,10 +280,9 @@ def _check_universal_recovery(seed: int, opts: SolverOptions) -> tuple[str, dict
     worst = 0.0
     for name, joint, b in _recovery_cases(seed, opts):
         b_prime = modified_observable(a, joint)
-        recovered = heisenberg_apply(
-            uni, np.stack([b_prime.effect(lbl) for lbl in b.labels])
-        )
-        resid = float(np.linalg.norm(recovered - np.stack(b.effects), axis=(1, 2)).max())
+        order = [b_prime.labels.index(lbl) for lbl in b.labels]
+        recovered = heisenberg_apply(uni, b_prime.effects[order])
+        resid = float(np.linalg.norm(recovered - b.effects, axis=(1, 2)).max())
         worst = max(worst, resid)
         rows.append({"case": name, "residual": resid})
     status = "pass" if worst <= 1e-8 else "fail"
@@ -408,8 +407,8 @@ def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dic
         )
         j = connecting_isometry(mini, upstairs)
         # sharp joint effects annihilate mismatched branches of the embedding
-        for m_lbl, m_hat in cano.sharp.outcomes:
-            for (x_lbl,), a_hat in mini.sharp.outcomes:
+        for m_lbl, m_hat in zip(cano.sharp.labels, cano.sharp.effects):
+            for (x_lbl,), a_hat in zip(mini.sharp.labels, mini.sharp.effects):
                 want = m_hat @ j if m_lbl[0] == x_lbl else 0.0
                 worst_aux = max(worst_aux, frob(m_hat @ j @ a_hat - want))
         # the closed-form B' is the sharp readout compressed through J

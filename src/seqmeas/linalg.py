@@ -163,14 +163,15 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 
 
 def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Whether ``m`` is Hermitian and positive semidefinite within ``tol``."""
+    """Whether ``m``, or every matrix of a stack ``m``, is Hermitian and
+    positive semidefinite within ``tol``."""
     m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         return False
-    if frob(m - dagger(m)) > tol:
+    if (np.linalg.norm(m - dagger(m), axis=(-2, -1)) > tol).any():
         return False
     vals = np.linalg.eigvalsh((m + dagger(m)) / 2)
-    return bool(vals[0] >= -tol)
+    return bool((vals[..., 0] >= -tol).all())
 
 
 def range_isometry(m: np.ndarray) -> np.ndarray:

@@ -2,21 +2,23 @@
 
 An observable is a finite set of labeled positive effects summing to the
 identity.  Labels are integer tuples; multi-component labels describe joint
-observables, and component positions act as marginalization axes.  Outcomes
-are kept sorted lexicographically by label so that marginalization, JSON
-round trips, and channel constructions are deterministic.
+observables, and component positions act as marginalization axes.  Labels
+are kept sorted lexicographically, with the effects held as one
+(n, dim, dim) array in label order, so that marginalization, JSON round
+trips, and channel constructions are deterministic and every check is one
+batched operation on that array.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import PSD_TOL, QUBIT_TOL, as_complex, frob, is_psd
+from .linalg import PSD_TOL, QUBIT_TOL, frob, is_psd
 
 __all__ = [
     "Povm",
@@ -56,7 +58,7 @@ Label = tuple[int, ...]
 def as_label(label) -> Label:
     if isinstance(label, (int, np.integer)):
         return (int(label),)
-    out = tuple(int(c) for c in label)
+    out = tuple(map(int, label))
     if not out:
         raise ValueError("empty outcome label")
     return out
@@ -66,8 +68,10 @@ def as_label(label) -> Label:
 class Povm:
     """An outcome-labeled observable on C^dim.
 
-    ``outcomes`` is a tuple of (label, effect) pairs sorted lexicographically
-    by label.  Construction normalizes labels and array dtypes and rejects
+    Built from (label, effect) pairs, it holds ``labels``, sorted
+    lexicographically, and ``effects``, one read-only complex array of
+    shape (n, dim, dim) in label order, copied from the input.
+    Construction normalizes labels and array dtypes and rejects
     structurally broken input (shape mismatch, duplicate or ragged labels);
     it does not check positivity or normalization, which is what
     :func:`validate` is for, so deliberately invalid observables can be
@@ -75,51 +79,45 @@ class Povm:
     """
 
     dim: int
-    outcomes: tuple[tuple[Label, np.ndarray], ...]
+    outcomes: InitVar[Iterable[tuple]]
+    labels: tuple[Label, ...] = field(init=False)
+    effects: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, outcomes):
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        normalized = []
-        for label, effect in self.outcomes:
-            lbl = as_label(label)
-            eff = as_complex(effect)
-            if eff.shape != (self.dim, self.dim):
+        pairs = [(as_label(lbl), eff) for lbl, eff in outcomes]
+        for lbl, eff in pairs:
+            if np.shape(eff) != (self.dim, self.dim):
                 raise ValueError(
-                    f"effect for label {lbl} has shape {eff.shape}, "
+                    f"effect for label {lbl} has shape {np.shape(eff)}, "
                     f"expected {(self.dim, self.dim)}"
                 )
-            normalized.append((lbl, eff))
-        normalized.sort(key=lambda pair: pair[0])
-        labels = [lbl for lbl, _ in normalized]
+        pairs.sort(key=lambda pair: pair[0])
+        labels = tuple(lbl for lbl, _ in pairs)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate outcome labels")
         if len({len(lbl) for lbl in labels}) > 1:
             raise ValueError("labels must all have the same number of components")
-        object.__setattr__(self, "outcomes", tuple(normalized))
-
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(lbl for lbl, _ in self.outcomes)
-
-    @property
-    def effects(self) -> tuple[np.ndarray, ...]:
-        return tuple(eff for _, eff in self.outcomes)
+        effects = np.array([eff for _, eff in pairs], dtype=np.complex128)
+        effects = effects.reshape(len(pairs), self.dim, self.dim)
+        effects.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "effects", effects)
 
     @property
     def arity(self) -> int:
         """Number of label components."""
-        return len(self.outcomes[0][0]) if self.outcomes else 0
+        return len(self.labels[0]) if self.labels else 0
 
     def effect(self, label) -> np.ndarray:
         lbl = as_label(label)
-        for cand, eff in self.outcomes:
-            if cand == lbl:
-                return eff
-        raise KeyError(f"no outcome labeled {lbl}")
+        if lbl not in self.labels:
+            raise KeyError(f"no outcome labeled {lbl}")
+        return self.effects[self.labels.index(lbl)]
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return len(self.labels)
 
 
 def validate(p: Povm, tol: float = PSD_TOL) -> bool:
@@ -128,27 +126,27 @@ def validate(p: Povm, tol: float = PSD_TOL) -> bool:
     The normalization defect is measured in Frobenius norm against
     tol * sqrt(dim), so the test scales with the size of the identity.
     """
-    if not p.outcomes:
+    if not len(p) or not is_psd(p.effects, tol):
         return False
-    for _, eff in p.outcomes:
-        if not is_psd(eff, tol):
-            return False
-    total = sum(p.effects)
-    return frob(total - np.eye(p.dim)) <= tol * math.sqrt(p.dim)
+    return frob(p.effects.sum(axis=0) - np.eye(p.dim)) <= tol * math.sqrt(p.dim)
+
+
+def _norms(m: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(m, axis=(-2, -1))
 
 
 def is_sharp(p: Povm, tol: float = PSD_TOL) -> bool:
     """True iff every effect is idempotent (a projection) within tol."""
-    return all(frob(eff @ eff - eff) <= tol for eff in p.effects)
+    e = p.effects
+    return bool((_norms(e @ e - e) <= tol).all())
 
 
 def commutes(p: Povm, q: Povm, tol: float = PSD_TOL) -> bool:
     """True iff every effect of p commutes with every effect of q within tol."""
     if p.dim != q.dim:
         raise ValueError("observables act on different spaces")
-    return all(
-        frob(e @ f - f @ e) <= tol for e in p.effects for f in q.effects
-    )
+    e, f = p.effects[:, None], q.effects[None]
+    return bool((_norms(e @ f - f @ e) <= tol).all())
 
 
 def _component_values(p: Povm, axis: int) -> list[int]:
@@ -164,27 +162,28 @@ def is_product_labeled(p: Povm) -> bool:
     return set(p.labels) == expected
 
 
+def as_axes(p: Povm, axes: int | Sequence[int]) -> tuple[int, ...]:
+    """``axes`` as a tuple of label positions, refused with ValueError
+    unless nonempty, in range for ``p`` and free of repeats."""
+    axes = (axes,) if isinstance(axes, int) else tuple(axes)
+    if not axes or any(ax < 0 or ax >= p.arity for ax in axes):
+        raise ValueError(f"axes {axes} out of range for arity {p.arity}")
+    if len(set(axes)) != len(axes):
+        raise ValueError("repeated marginal axes")
+    return axes
+
+
 def marginal(p: Povm, axes: int | Sequence[int]) -> Povm:
     """Sum effects over all label components except the kept ``axes``.
 
     ``axes`` are positions into the label tuple; the result's labels are the
     projections of the original labels onto those positions, in order.
     """
-    if isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(axes)
-    if not axes or any(ax < 0 or ax >= p.arity for ax in axes):
-        raise ValueError(f"axes {axes} out of range for arity {p.arity}")
-    if len(set(axes)) != len(axes):
-        raise ValueError("repeated marginal axes")
-    sums: dict[Label, np.ndarray] = {}
-    for lbl, eff in p.outcomes:
-        key = tuple(lbl[ax] for ax in axes)
-        if key in sums:
-            sums[key] = sums[key] + eff
-        else:
-            sums[key] = eff.copy()
-    return Povm(p.dim, tuple(sums.items()))
+    axes = as_axes(p, axes)
+    keys = [tuple(lbl[ax] for ax in axes) for lbl in p.labels]
+    kept = sorted(set(keys))
+    kernel = np.eye(len(kept))[[kept.index(key) for key in keys]]
+    return post_process(p, kernel, kept)
 
 
 def marginals(p: Povm) -> tuple[Povm, ...]:
@@ -218,16 +217,15 @@ def post_process(
         labels = [(j,) for j in range(n_new)]
     if len(labels) != n_new:
         raise ValueError("need one label per kernel column")
-    effects = np.stack(p.effects)
-    new_effects = np.einsum("ij,iab->jab", kernel, effects)
-    return Povm(p.dim, tuple(zip(labels, new_effects)))
+    new_effects = np.einsum("ij,iab->jab", kernel, p.effects)
+    return Povm(p.dim, zip(labels, new_effects))
 
 
 def effects_close(p: Povm, q: Povm, tol: float = PSD_TOL) -> bool:
     """Entrywise effect agreement under matched labels."""
     if p.dim != q.dim or p.labels != q.labels:
         return False
-    return all(frob(e - f) <= tol for e, f in zip(p.effects, q.effects))
+    return bool((_norms(p.effects - q.effects) <= tol).all())
 
 
 def refinement_joint(p: Povm) -> Povm:
@@ -237,13 +235,11 @@ def refinement_joint(p: Povm) -> Povm:
     x == l[0] and zero otherwise.  Its axis-0 marginal is the axis-0
     marginal of p, and the marginal over the remaining axes is p itself.
     """
-    zero = np.zeros((p.dim, p.dim), dtype=np.complex128)
     firsts = _component_values(p, 0)
-    outcomes = []
-    for lbl, eff in p.outcomes:
-        for x in firsts:
-            outcomes.append(((x,) + lbl, eff if x == lbl[0] else zero))
-    return Povm(p.dim, tuple(outcomes))
+    owns = np.array([[x == lbl[0] for lbl in p.labels] for x in firsts])
+    effects = np.where(owns[:, :, None, None], p.effects, 0.0)
+    labels = [(x,) + lbl for x in firsts for lbl in p.labels]
+    return Povm(p.dim, zip(labels, effects.reshape(-1, p.dim, p.dim)))
 
 
 def trivial(dim: int) -> Povm:

@@ -51,7 +51,7 @@ def universal_channel(a: Povm) -> KrausChannel:
     operator per outcome of ``a``, so branch traces reproduce ``a``.
     """
     d = naimark_minimal(a)
-    kraus = np.stack(d.sharp.effects) @ d.isometry
+    kraus = d.sharp.effects @ d.isometry
     partition = {lbl: (i,) for i, lbl in enumerate(d.sharp.labels)}
     return KrausChannel(a.dim, d.dim_k, kraus, partition)
 
@@ -76,26 +76,21 @@ def modified_observable(a: Povm, joint: Povm) -> Povm:
             "leading marginal of the joint does not match the first observable"
         )
     mini = naimark_minimal(a)
-    b_prime = {
-        lbl[1:]: np.zeros((mini.dim_k, mini.dim_k), dtype=np.complex128)
-        for lbl in joint.labels
-    }
-    for (x_lbl,), proj in mini.sharp.outcomes:
+    later = sorted({lbl[1:] for lbl in joint.labels})
+    b_prime = np.zeros((len(later), mini.dim_k, mini.dim_k), dtype=np.complex128)
+    for (x_lbl,), proj in zip(mini.sharp.labels, mini.sharp.effects):
         rows = np.flatnonzero(proj.diagonal())
         w_pinv = np.linalg.pinv(mini.isometry[rows])
-        blocks = {
-            lbl[1:]: dagger(w_pinv) @ eff @ w_pinv
-            for lbl, eff in joint.outcomes
-            if lbl[0] == x_lbl
-        }
-        vals, vecs = np.linalg.eigh(sum(blocks.values()))
+        mine = [i for i, lbl in enumerate(joint.labels) if lbl[0] == x_lbl]
+        blocks = dagger(w_pinv) @ joint.effects[mine] @ w_pinv
+        vals, vecs = np.linalg.eigh(blocks.sum(axis=0))
         if (vals <= 0).any():
             raise ValueError(f"joint block {x_lbl} is singular on the range of A")
         norm = (vecs / np.sqrt(vals)) @ dagger(vecs)
-        for y_lbl, blk in blocks.items():
-            eff = norm @ blk @ norm
-            b_prime[y_lbl][np.ix_(rows, rows)] = (eff + dagger(eff)) / 2
-    return Povm(mini.dim_k, tuple(b_prime.items()))
+        effs = norm @ blocks @ norm
+        ys = [later.index(joint.labels[i][1:]) for i in mine]
+        b_prime[np.ix_(ys, rows, rows)] = (effs + dagger(effs)) / 2
+    return Povm(mini.dim_k, zip(later, b_prime))
 
 
 def compensating_channel(a: Povm, joint: Povm) -> KrausChannel:
@@ -115,8 +110,8 @@ def verify_sequential(
         raise ValueError("observable dimensions do not match the channel")
     if b_prime.labels != b.labels:
         raise ValueError("outcome labels do not match")
-    recovered = heisenberg_apply(channel, np.stack(b_prime.effects))
-    gaps = np.linalg.norm(recovered - np.stack(b.effects), axis=(1, 2))
+    recovered = heisenberg_apply(channel, b_prime.effects)
+    gaps = np.linalg.norm(recovered - b.effects, axis=(1, 2))
     return bool((gaps <= tol).all())
 
 
@@ -130,12 +125,9 @@ def implemented_joint(channel: KrausChannel, b_prime: Povm) -> Povm:
         raise ValueError("channel carries no branch partition")
     if b_prime.dim != channel.dim_out:
         raise ValueError("observable does not act on the channel output")
-    effects = np.stack(b_prime.effects)
-    outcomes = []
-    for x_lbl in channel.labels:
-        joint = heisenberg_branch(channel, x_lbl, effects)
-        outcomes.extend((x_lbl + y_lbl, eff) for y_lbl, eff in zip(b_prime.labels, joint))
-    return Povm(channel.dim_in, tuple(outcomes))
+    labels = [x + y for x in channel.labels for y in b_prime.labels]
+    effects = [heisenberg_branch(channel, x, b_prime.effects) for x in channel.labels]
+    return Povm(channel.dim_in, zip(labels, np.concatenate(effects)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,8 +131,8 @@ def povm_to_json(p: Povm) -> dict:
     return {
         "dim": p.dim,
         "outcomes": [
-            {"label": list(lbl), "matrix": matrix_to_json(eff)}
-            for lbl, eff in p.outcomes
+            {"label": list(lbl), "matrix": eff}
+            for lbl, eff in zip(p.labels, matrix_to_json(p.effects))
         ],
     }
 

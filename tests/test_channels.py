@@ -33,6 +33,7 @@ from seqmeas.povm import (
     SIGMA_Z,
     Povm,
     effects_close,
+    four_outcome_refinement,
     marginal,
     marginals,
     qubit_binary,
@@ -83,6 +84,19 @@ def test_stacked_kraus_array_builds_the_same_channel():
     assert from_array.kraus.shape == (3, 2, 3)
     assert np.array_equal(from_array.kraus, from_tuple.kraus)
     assert from_array.partition == from_tuple.partition
+
+
+def test_kraus_array_is_a_read_only_copy():
+    ks = np.stack(random_channel(3, 2, 3).kraus)
+    c = KrausChannel(3, 2, ks)
+    env = conjugate(c)
+    before = (c.kraus.copy(), env.kraus.copy())
+    ks[0] = 0.0
+    assert np.array_equal(c.kraus, before[0])
+    for ch in (c, env):
+        with pytest.raises(ValueError, match="read-only"):
+            ch.kraus[0, 0, 0] = 1.0
+    assert np.array_equal(env.kraus, before[1])
 
 
 def test_partition_must_cover_indices():
@@ -284,7 +298,7 @@ def test_choi_reproduces_action():
 def test_luders_kraus_are_roots():
     a = qubit_binary(0.8, AXIS_Z)
     c = luders(a)
-    for k, (_, eff) in zip(c.kraus, a.outcomes):
+    for k, eff in zip(c.kraus, a.effects):
         assert np.allclose(k @ k, eff, atol=1e-12)
     assert is_trace_preserving(c)
 
@@ -317,7 +331,7 @@ def test_classical_channel_branch_traces_give_marginal():
     rho = random_state(2)
     expected = sum(
         np.trace(rho @ eff).real * np.outer(np.eye(2)[i], np.eye(2)[i])
-        for i, (_, eff) in enumerate(b.outcomes)
+        for i, eff in enumerate(b.effects)
     )
     assert np.allclose(apply(c, rho), expected, atol=1e-12)
 
@@ -348,6 +362,11 @@ def test_classical_channel_readout_axes_validation():
     b = qubit_binary(0.6, AXIS_X)
     with pytest.raises(ValueError):
         classical_channel(b, readout_axes=(0,))
+    # the rule of `marginal`: axes in range and free of repeats
+    c = four_outcome_refinement(0.8)
+    for axes in ((-1,), (0, 0), (5,)):
+        with pytest.raises(ValueError):
+            classical_channel(c, readout_axes=axes)
 
 
 # --- Stinespring and conjugate -------------------------------------------

@@ -45,7 +45,7 @@ def test_canonical_marginal_reconstruction_oracle():
     # independent reconstruction: V^dag A_hat(x) V recomputed entrywise
     a = qubit_binary(0.6, AXIS_X)
     d = naimark_canonical(a)
-    for (lbl, proj), (_, eff) in zip(d.sharp.outcomes, a.outcomes):
+    for proj, eff in zip(d.sharp.effects, a.effects):
         got = dagger(d.isometry) @ proj @ d.isometry
         assert np.allclose(got, eff, atol=1e-12)
 
@@ -84,7 +84,7 @@ def test_verify_rejects_shuffled_sharp_labels():
     d = naimark_minimal(a)
     swapped = Povm(
         d.dim_k,
-        tuple(((-lbl[0],), proj) for lbl, proj in d.sharp.outcomes),
+        zip([(-lbl[0],) for lbl in d.sharp.labels], d.sharp.effects),
     )
     assert not verify_dilation(a, NaimarkDilation(d.dim_k, d.isometry, swapped))
 
@@ -112,7 +112,7 @@ def test_connecting_minimal_to_canonical():
     assert j.shape == (4, 4)
     assert frob(dagger(j) @ j - np.eye(4)) <= 1e-9
     assert frob(j @ mini.isometry - cano.isometry) <= 1e-9
-    for (_, p1), (_, p2) in zip(mini.sharp.outcomes, cano.sharp.outcomes):
+    for p1, p2 in zip(mini.sharp.effects, cano.sharp.effects):
         assert frob(j @ p1 - p2 @ j) <= 1e-9
 
 

@@ -155,7 +155,7 @@ def test_channel_witness_is_an_observable_on_the_environment():
     w = witness_povm(out)
     assert w.dim == env.dim_out
     assert validate(w, tol=1e-7)
-    for lbl, eff in A08.outcomes:
+    for lbl, eff in zip(A08.labels, A08.effects):
         assert np.linalg.norm(heisenberg_apply(env, w.effect(lbl)) - eff) <= 1e-7
 
 
@@ -404,7 +404,7 @@ def test_joint_search_rejects_mismatched_effect_sums():
 
 
 def _scaled(p: Povm, factor: float) -> Povm:
-    return Povm(p.dim, tuple((lbl, factor * eff) for lbl, eff in p.outcomes))
+    return Povm(p.dim, zip(p.labels, factor * p.effects))
 
 
 _LOSSY = KrausChannel(2, 2, (0.5 * np.eye(2, dtype=complex),), None)

@@ -63,6 +63,33 @@ def test_wrong_shape_rejected():
         Povm(3, (((0,), EYE),))
 
 
+def test_effects_are_one_array_in_label_order():
+    c = four_outcome_refinement(0.8)
+    assert c.effects.shape == (4, 2, 2)
+    assert c.effects.dtype == np.complex128
+    assert c.labels == ((-1, -1), (-1, 1), (1, -1), (1, 1))
+    for i, lbl in enumerate(c.labels):
+        assert np.array_equal(c.effects[i], c.effect(lbl))
+    assert np.allclose(c.effects[-1], 0.45 * (EYE + SIGMA_Z))
+
+
+def test_effects_are_a_read_only_copy():
+    effects = np.stack([EYE / 4, 3 * EYE / 4])
+    p = Povm(2, zip([(1,), (0,)], effects))
+    effects[0] = 0.0
+    assert np.allclose(p.effect(1), EYE / 4)
+    with pytest.raises(ValueError, match="read-only"):
+        p.effects[0, 0, 0] = 1.0
+
+
+def test_empty_observable():
+    p = Povm(2, ())
+    assert len(p) == 0
+    assert p.effects.shape == (0, 2, 2)
+    assert p.arity == 0
+    assert not validate(p)
+
+
 def test_effect_lookup():
     a = qubit_binary(0.8, AXIS_Z)
     assert np.allclose(a.effect(1), np.diag([0.9, 0.1]))
@@ -136,6 +163,19 @@ def test_marginals_require_product_labels():
     assert not is_product_labeled(holey)
     with pytest.raises(ValueError, match="product"):
         marginals(holey)
+
+
+@pytest.mark.parametrize("axes", [(0,), (2,), (1, 0), (0, 2)])
+def test_marginal_keeps_the_axes_in_order(axes):
+    m = refinement_joint(four_outcome_refinement(0.8))
+    sums = {}
+    for lbl, eff in zip(m.labels, m.effects):
+        key = tuple(lbl[ax] for ax in axes)
+        sums[key] = sums.get(key, 0) + eff
+    got = marginal(m, axes)
+    assert got.labels == tuple(sorted(sums))
+    for key, eff in sums.items():
+        assert np.allclose(got.effect(key), eff, atol=1e-15)
 
 
 def test_marginal_axis_validation():
@@ -260,7 +300,8 @@ def test_four_outcome_refinement_effects():
 def test_four_outcome_refinement_ranks():
     c = four_outcome_refinement(0.8)
     ranks = {
-        lbl: int(np.linalg.matrix_rank(eff, tol=1e-9)) for lbl, eff in c.outcomes
+        lbl: int(np.linalg.matrix_rank(eff, tol=1e-9))
+        for lbl, eff in zip(c.labels, c.effects)
     }
     assert ranks[(1, 1)] == 1
     assert ranks[(1, -1)] == 1

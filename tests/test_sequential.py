@@ -91,7 +91,7 @@ def test_universal_channel_shape_and_branches():
     assert is_trace_preserving(lam, tol=1e-12)
     assert lam.labels == a.labels
     # branch probabilities reproduce the observable on the mixed state
-    for lbl, eff in a.outcomes:
+    for lbl, eff in zip(a.labels, a.effects):
         from seqmeas.channels import apply_branch
 
         p = np.trace(apply_branch(lam, lbl, EYE / 2)).real
@@ -189,7 +189,7 @@ def test_connecting_isometry_accepts_witness_dilations_at_dimension_six(seed):
 
 def test_modified_observable_trivial_second_axis():
     a = qubit_binary(0.8, AXIS_Z)
-    joint = Povm(2, tuple(((lbl[0], 0), eff) for lbl, eff in a.outcomes))
+    joint = Povm(2, zip([(lbl[0], 0) for lbl in a.labels], a.effects))
     bp = modified_observable(a, joint)
     assert len(bp) == 1
     assert np.allclose(bp.effects[0], np.eye(4), atol=1e-10)
@@ -224,9 +224,7 @@ def test_polish_tolerates_slightly_dirty_joint():
     joint = orthogonal_joint(0.8, 0.6)
     noisy = Povm(
         2,
-        tuple(
-            (lbl, eff + 1e-9 * np.eye(2)) for lbl, eff in joint.outcomes
-        ),
+        zip(joint.labels, joint.effects + 1e-9 * np.eye(2)),
     )
     bp = modified_observable(a, noisy)
     assert verify_sequential(
@@ -279,7 +277,7 @@ def test_verify_sequential_structure_checks():
     b = qubit_binary(0.6, AXIS_X)
     with pytest.raises(ValueError, match="dimension"):
         verify_sequential(universal_channel(qubit_binary(0.8, AXIS_Z)), b, b)
-    relabeled = Povm(2, tuple(((lbl[0] * 2,), e) for lbl, e in b.outcomes))
+    relabeled = Povm(2, zip([(lbl[0] * 2,) for lbl in b.labels], b.effects))
     with pytest.raises(ValueError, match="labels"):
         verify_sequential(identity_channel(2), b, relabeled)
 
