@@ -10,14 +10,15 @@ Luders channel of A:
 - `povm`: building M from its (label, effect) pairs, its `marginal` on
   axis 0, `validate`, and `post_process` with a 4 x 3 stochastic kernel;
 - `serialize`: `povm_to_json` of M;
-- `dilation`: `naimark_minimal` of A;
+- `dilation`: `naimark_minimal` and `naimark_canonical` of A;
 - `channels`: `heisenberg_apply` of one operator and of the stack of the
   two effects of the modified observable B', `apply` to a state, `choi`,
   `conjugate`, `stinespring` and `is_trace_preserving` of the universal
-  channel, and `nondisturbing` of the Luders channel on A;
+  channel, `nondisturbing` of the Luders channel on A, `luders` of A and
+  `classical_channel` of M;
 - `sequential`: `universal_channel` of A, `modified_observable` of A and
-  M, `verify_sequential` of B' against the other marginal B, and
-  `implemented_joint` of B'.
+  M, `verify_sequential` of B' against the other marginal B,
+  `implemented_joint` of B', and `sequential_scheme` of A and M.
 
 Timing and output follow `bench_cli.py`: each figure is the median CPU
 time of one call over 15 batches, the results go into column NAME and
@@ -69,6 +70,7 @@ def measure() -> dict:
         timed(f"povm.post_process.d{d}", lambda: post_process(joint, kernel))
         timed(f"serialize.povm_to_json.d{d}", lambda: povm_to_json(joint))
         timed(f"dilation.naimark_minimal.d{d}", lambda: dilation.naimark_minimal(a))
+        timed(f"dilation.naimark_canonical.d{d}", lambda: dilation.naimark_canonical(a))
         timed(f"channels.heisenberg_apply.d{d}", lambda: channels.heisenberg_apply(uni, ts[0]))
         timed(f"channels.heisenberg_apply_stack.d{d}",
               lambda: channels.heisenberg_apply(uni, ts))
@@ -79,6 +81,8 @@ def measure() -> dict:
         timed(f"channels.is_trace_preserving.d{d}",
               lambda: channels.is_trace_preserving(uni))
         timed(f"channels.nondisturbing.d{d}", lambda: channels.nondisturbing(lud, a))
+        timed(f"channels.luders.d{d}", lambda: channels.luders(a))
+        timed(f"channels.classical_channel.d{d}", lambda: channels.classical_channel(joint))
         timed(f"sequential.universal_channel.d{d}", lambda: sequential.universal_channel(a))
         timed(f"sequential.modified_observable.d{d}",
               lambda: sequential.modified_observable(a, joint))
@@ -86,6 +90,8 @@ def measure() -> dict:
               lambda: sequential.verify_sequential(uni, b_prime, b))
         timed(f"sequential.implemented_joint.d{d}",
               lambda: sequential.implemented_joint(uni, b_prime))
+        timed(f"sequential.sequential_scheme.d{d}",
+              lambda: sequential.sequential_scheme(a, joint))
     return rows
 
 

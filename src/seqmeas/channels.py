@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import PSD_TOL, RANK_TOL, STATE_TOL, as_complex, dagger, frob, herm_eig, sqrt_psd
+from .linalg import PSD_TOL, STATE_TOL, as_complex, dagger, frob, range_factors, sqrt_psd
 from .povm import Label, Povm, as_axes, as_label
 
 __all__ = [
@@ -163,10 +163,7 @@ def heisenberg_branch(c: KrausChannel, label, t: np.ndarray) -> np.ndarray:
 def branch_observable(c: KrausChannel) -> Povm:
     """The observable measured by the instrument: x -> branch_x^*(I)."""
     eye = np.eye(c.dim_out, dtype=np.complex128)
-    outcomes = tuple(
-        (lbl, heisenberg_branch(c, lbl, eye)) for lbl in c.labels
-    )
-    return Povm(c.dim_in, outcomes)
+    return Povm(c.dim_in, ((lbl, heisenberg_branch(c, lbl, eye)) for lbl in c.labels))
 
 
 def choi(c: KrausChannel) -> np.ndarray:
@@ -178,9 +175,8 @@ def choi(c: KrausChannel) -> np.ndarray:
 
 def luders(a: Povm) -> KrausChannel:
     """The instrument with Kraus operators sqrt(A(x)), one branch per outcome."""
-    kraus = tuple(sqrt_psd(eff) for eff in a.effects)
     partition = {lbl: (i,) for i, lbl in enumerate(a.labels)}
-    return KrausChannel(a.dim, a.dim, kraus, partition)
+    return KrausChannel(a.dim, a.dim, sqrt_psd(a.effects), partition)
 
 
 def classical_channel(
@@ -195,8 +191,9 @@ def classical_channel(
     passing a subset of label axes as the readout keeps only those components
     on the register while branches are labeled by the remaining components,
     so branch traces reproduce the marginal over the non-readout axes.
-    Eigen-directions of an effect with eigenvalue at or below `RANK_TOL`
-    get no Kraus operator.
+    Each effect gives one Kraus operator per row of its factor of
+    `range_factors`, that row written onto the register vector of its
+    readout; an effect with an eigenvalue below -`RANK_TOL` raises.
     """
     if readout_axes is None:
         readouts = list(m.labels)
@@ -209,21 +206,14 @@ def classical_channel(
         readouts = [tuple(lbl[ax] for ax in axes) for lbl in m.labels]
         keys = [tuple(lbl[ax] for ax in rest) for lbl in m.labels]
     pointer = {val: i for i, val in enumerate(sorted(set(readouts)))}
-    dim_out = len(pointer)
-    kraus: list[np.ndarray] = []
+    rows, owner = range_factors(m.effects)
+    register = np.array([pointer[r] for r in readouts], dtype=int)
+    kraus = np.zeros((len(rows), len(pointer), m.dim), dtype=np.complex128)
+    kraus[np.arange(len(rows)), register[owner]] = rows
     partition: dict[Label, list[int]] = {key: [] for key in keys}
-    for eff, readout, key in zip(m.effects, readouts, keys):
-        vals, vecs = herm_eig(eff)
-        row = pointer[readout]
-        for rank in range(len(vals) - 1, -1, -1):
-            lam = vals[rank]
-            if lam <= RANK_TOL:
-                continue
-            op = np.zeros((dim_out, m.dim), dtype=np.complex128)
-            op[row, :] = np.sqrt(lam) * vecs[:, rank].conj()
-            partition[key].append(len(kraus))
-            kraus.append(op)
-    return KrausChannel(m.dim, dim_out, kraus, partition)
+    for k, i in enumerate(owner):
+        partition[keys[i]].append(k)
+    return KrausChannel(m.dim, len(pointer), kraus, partition)
 
 
 def stinespring(c: KrausChannel) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    CHECK_TOL, PSD_TOL, RANK_RCOND, RANK_TOL, as_complex, dagger, frob, range_isometry,
+    CHECK_TOL, PSD_TOL, RANK_RCOND, RANK_TOL, as_complex, dagger, frob, range_factors,
     sqrt_psd,
 )
 from .povm import Label, Povm, is_sharp, validate
@@ -55,13 +55,11 @@ class NaimarkDilation:
         return self.isometry.shape[1]
 
 
-def _stacked(labels: tuple[Label, ...], blocks: list[np.ndarray]) -> NaimarkDilation:
-    """The dilation V = (B_x stacked in order) with A_hat(x) the projector
-    onto the rows of B_x, so that V^dag A_hat(x) V = B_x^dag B_x."""
-    v = np.vstack(blocks)
-    dim_k = v.shape[0]
-    owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-    projs = np.zeros((len(blocks), dim_k, dim_k), dtype=np.complex128)
+def _stacked(labels: tuple[Label, ...], v: np.ndarray, owner: np.ndarray) -> NaimarkDilation:
+    """The dilation V = v, with A_hat(x) the projector onto the rows B_x of v
+    whose ``owner`` is x, so that V^dag A_hat(x) V = B_x^dag B_x."""
+    dim_k = len(v)
+    projs = np.zeros((len(labels), dim_k, dim_k), dtype=np.complex128)
     projs[owner, np.arange(dim_k), np.arange(dim_k)] = 1.0
     return NaimarkDilation(dim_k, v, Povm(dim_k, zip(labels, projs)))
 
@@ -72,20 +70,20 @@ def naimark_canonical(a: Povm) -> NaimarkDilation:
     Block x of the dilation space carries a full copy of H; the sharp effect
     for x is the projection onto that block.
     """
-    return _stacked(a.labels, [sqrt_psd(eff) for eff in a.effects])
+    roots = sqrt_psd(a.effects).reshape(-1, a.dim)
+    return _stacked(a.labels, roots, np.repeat(np.arange(len(a)), a.dim))
 
 
 def naimark_minimal(a: Povm) -> NaimarkDilation:
     """Dilation on the direct sum of the effect ranges.
 
-    Block x has dimension rank(A(x)); its coordinates are the range basis of
-    A(x) produced by :func:`range_isometry`, so the construction is
+    Block x has dimension rank(A(x)) and is W_x = diag(sqrt(lambda)) V_r^dag
+    for the eigenvalues lambda of A(x) above `RANK_TOL`, in descending
+    order, and their phase-fixed eigenvectors V_r, so the construction is
     deterministic.  The result is minimal: the vectors A_hat(x) V e_i span
     the whole dilation space.
     """
-    return _stacked(
-        a.labels, [dagger(range_isometry(eff)) @ sqrt_psd(eff) for eff in a.effects]
-    )
+    return _stacked(a.labels, *range_factors(a.effects))
 
 
 def verify_dilation(a: Povm, d: NaimarkDilation, tol: float = PSD_TOL) -> bool:
@@ -117,8 +115,9 @@ def connecting_isometry(first: NaimarkDilation, second: NaimarkDilation) -> np.n
     """The isometry J: K1 -> K2 with J A_hat1(x) = A_hat2(x) J and J V1 = V2.
 
     ``first`` must be minimal and both must dilate the same observable; J is
-    then unique.  Solved by normal equations J (S S^dag) = T S^dag over the
-    spanning columns S, T of the two dilations.
+    then unique.  It is J = T S^+ over the spanning columns S, T of the two
+    dilations, with S^+ from the singular value decomposition that checks
+    that S has full row rank.
 
     S^dag S and T^dag T hold the two dilated observables block by block,
     so the precondition is checked as |S^dag S - T^dag T| <= `CHECK_TOL`.
@@ -133,11 +132,10 @@ def connecting_isometry(first: NaimarkDilation, second: NaimarkDilation) -> np.n
     t = _spanning_matrix(second)
     if frob(dagger(s) @ s - dagger(t) @ t) > CHECK_TOL:
         raise ValueError("dilations of different observables: dilated effects differ")
-    sv = np.linalg.svd(s, compute_uv=False)
+    u, sv, vh = np.linalg.svd(s, full_matrices=False)
     if len(sv) < first.dim_k or sv[first.dim_k - 1] <= RANK_RCOND * sv[0]:
         raise ValueError("first dilation is not minimal: spanning set is rank deficient")
-    gram = s @ dagger(s)
-    j = t @ dagger(s) @ np.linalg.pinv(gram, rcond=RANK_RCOND, hermitian=True)
+    j = (t @ dagger(vh) / sv) @ dagger(u)
     if frob(j @ s - t) > CHECK_TOL:
         raise ValueError("connecting solve failed: spanning residual above tolerance")
     return j

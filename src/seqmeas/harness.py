@@ -413,8 +413,8 @@ def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dic
                 worst_aux = max(worst_aux, frob(m_hat @ j @ a_hat - want))
         # the closed-form B' is the sharp readout compressed through J
         b_hat = marginal(cano.sharp, tuple(range(1, joint.arity)))
-        for e, f in zip(modified_observable(a, joint).effects, b_hat.effects):
-            worst_b_prime = max(worst_b_prime, frob(e - dagger(j) @ f @ j))
+        gaps = modified_observable(a, joint).effects - dagger(j) @ b_hat.effects @ j
+        worst_b_prime = max(worst_b_prime, float(np.linalg.norm(gaps, axis=(1, 2)).max()))
         # measure-and-prepare for b factors through the universal channel
         gamma = compensating_channel(a, joint)
         readout = classical_channel(b)
@@ -423,13 +423,8 @@ def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dic
             worst_factor = max(worst_factor, gap)
         # solver witnesses must stand on their own
         witnesses_valid = witnesses_valid and validate(joint, tol=1e-6)
-        worst_witness = max(
-            worst_witness,
-            max(
-                frob(e - f)
-                for e, f in zip(marginal(joint, 0).effects, a.effects)
-            ),
-        )
+        gaps = marginal(joint, 0).effects - a.effects
+        worst_witness = max(worst_witness, float(np.linalg.norm(gaps, axis=(1, 2)).max()))
     recovered = recover_b_prime(uni, four_outcome_refinement(A_STRENGTH), opts=opts)
     witnesses_valid = witnesses_valid and validate(recovered, tol=1e-6)
     ok = (

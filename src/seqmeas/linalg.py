@@ -5,12 +5,14 @@ All operators are numpy arrays of dtype complex128.  Matrices are small
 (dimension a few dozen at most), so everything here is plain dense algebra;
 no attempt is made to exploit sparsity.
 
-Constructions (square roots, range bases, dilations, instruments) read
+Constructions (square roots, range factors, dilations, instruments) read
 the constants below directly and take no tolerance argument; only
 predicates, which their callers hold to different accuracies, take a
-`tol`, defaulting to one of these constants.  They chain: a joint witness solved to `WITNESS_TOL` keeps the closed-form
-B' of `modified_observable` inside `CHECK_TOL`, at which
-`verify_sequential` accepts the recovered observable.
+`tol`, defaulting to one of these constants.  They chain: a joint witness
+solved to `WITNESS_TOL` keeps the closed-form B' of `modified_observable`
+inside `CHECK_TOL`, at which `verify_sequential` accepts the recovered
+observable.  The spectral helpers work on stacks of matrices, checking
+each matrix on its own.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ __all__ = [
     "as_complex",
     "dagger",
     "frob",
-    "tensor",
-    "partial_trace",
     "herm_eig",
     "sqrt_psd",
     "is_psd",
-    "range_isometry",
+    "range_factors",
 ]
 
 # Hermiticity, positivity and rank cuts on single matrices
@@ -92,73 +92,50 @@ def as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=np.complex128)
 
 
-def tensor(*ms: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, left to right."""
-    if not ms:
-        raise ValueError("tensor of zero factors")
-    out = as_complex(ms[0])
-    for m in ms[1:]:
-        out = np.kron(out, as_complex(m))
-    return out
-
-
-def partial_trace(
-    m: np.ndarray, dim_first: int, dim_second: int, traced: str
-) -> np.ndarray:
-    """Trace out one tensor factor of an operator on C^dim_first (x) C^dim_second.
-
-    ``traced`` is ``"first"`` or ``"second"``; the result acts on the factor
-    that is kept.  Row-major index convention: entry (i*dim_second + j) of a
-    vector is component (i, j).
-    """
-    m = as_complex(m)
-    n = dim_first * dim_second
-    if m.shape != (n, n):
-        raise ValueError(f"operator shape {m.shape} does not match {n}x{n}")
-    blocks = m.reshape(dim_first, dim_second, dim_first, dim_second)
-    if traced == "first":
-        return np.einsum("ijik->jk", blocks)
-    if traced == "second":
-        return np.einsum("ijkj->ik", blocks)
-    raise ValueError(f"traced must be 'first' or 'second', got {traced!r}")
-
-
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     # unit columns, so the anchor entry is never zero
-    anchors = np.abs(vecs).argmax(axis=0)
-    lead = vecs[anchors, np.arange(vecs.shape[1])]
+    anchors = np.abs(vecs).argmax(axis=-2)
+    lead = np.take_along_axis(vecs, anchors[..., None, :], axis=-2)
     return vecs * (np.abs(lead) / lead)
 
 
 def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Hermitian matrix, like
-    ``np.linalg.eigh``, after a check of Hermiticity to `HERMITICITY_TOL`.
+    """Eigenvalues and eigenvectors of a Hermitian matrix, or of each of a
+    stack (..., d, d) of them, like ``np.linalg.eigh``, after a check of
+    each matrix's Hermiticity to `HERMITICITY_TOL`.
 
     The eigenvalues are real and ascending; column k of the eigenvectors is
     the unit eigenvector for eigenvalue k, with its largest-magnitude entry
     rotated to the positive real axis so repeated runs give identical bases.
     """
     m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if frob(m - dagger(m)) > HERMITICITY_TOL:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    if (np.linalg.norm(m - dagger(m), axis=(-2, -1)) > HERMITICITY_TOL).any():
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh((m + dagger(m)) / 2)
     return vals, _fix_phases(vecs)
 
 
+def _checked_eig(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """`herm_eig`, refusing a matrix with an eigenvalue below -tol."""
+    vals, vecs = herm_eig(m)
+    if (vals[..., 0] < -tol).any():
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {vals[..., 0].min():.3e}")
+    return vals, vecs
+
+
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix.
+    """Principal square root of a positive semidefinite matrix, or of each
+    of a stack (..., d, d) of them.
 
     Eigenvalues in [-PSD_TOL, PSD_TOL] are treated as exact zeros, because
     the root of roundoff on the kernel is far larger than the roundoff
     itself (1e-16 would give 1e-8); anything below -PSD_TOL raises.
     """
-    vals, vecs = herm_eig(m)
-    if vals[0] < -PSD_TOL:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {vals[0]:.3e}")
+    vals, vecs = _checked_eig(m, PSD_TOL)
     roots = np.sqrt(np.where(vals > PSD_TOL, vals, 0.0))
-    out = (vecs * roots) @ dagger(vecs)
+    out = (vecs * roots[..., None, :]) @ dagger(vecs)
     return (out + dagger(out)) / 2
 
 
@@ -174,14 +151,18 @@ def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
     return bool((vals[..., 0] >= -tol).all())
 
 
-def range_isometry(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of a PSD matrix, as matrix columns.
+def range_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors W_i = diag(sqrt(lambda)) V^dag, with W_i^dag W_i = A_i, of
+    each PSD matrix A_i of a stack (n, d, d), from one `herm_eig` call.
 
-    Columns are ordered by descending eigenvalue; eigenvalues at or below
-    `RANK_TOL` do not contribute.  The result V satisfies V^dag V = I_r and
-    V V^dag = projection onto range(m).
+    Only eigenvalues above `RANK_TOL` give a row, in descending order, so
+    W_i has rank(A_i) orthogonal rows, W_i W_i^dag = diag(lambda) and
+    W_i^+ = W_i^dag diag(1/lambda).  Returns the rows of all factors
+    stacked, shape (sum of ranks, d), and the index i owning each row; an
+    eigenvalue below -`RANK_TOL` raises.
     """
-    if not is_psd(m, RANK_TOL):
-        raise ValueError("range_isometry expects a PSD matrix")
-    vals, vecs = herm_eig(m)
-    return vecs[:, vals > RANK_TOL][:, ::-1].copy()
+    vals, vecs = _checked_eig(m, RANK_TOL)
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+    keep = vals > RANK_TOL
+    rows = np.sqrt(vals[keep])[:, None] * dagger(vecs)[keep]
+    return rows, np.nonzero(keep)[0]

@@ -30,7 +30,6 @@ __all__ = [
     "AXIS_Z",
     "validate",
     "is_sharp",
-    "commutes",
     "is_product_labeled",
     "marginal",
     "marginals",
@@ -139,14 +138,6 @@ def is_sharp(p: Povm, tol: float = PSD_TOL) -> bool:
     """True iff every effect is idempotent (a projection) within tol."""
     e = p.effects
     return bool((_norms(e @ e - e) <= tol).all())
-
-
-def commutes(p: Povm, q: Povm, tol: float = PSD_TOL) -> bool:
-    """True iff every effect of p commutes with every effect of q within tol."""
-    if p.dim != q.dim:
-        raise ValueError("observables act on different spaces")
-    e, f = p.effects[:, None], q.effects[None]
-    return bool((_norms(e @ f - f @ e) <= tol).all())
 
 
 def _component_values(p: Povm, axis: int) -> list[int]:
@@ -274,15 +265,7 @@ def bloch_vector(effect: np.ndarray) -> np.ndarray:
 
     For an unbiased binary effect (1/2)(I + v.sigma) this recovers v.
     """
-    return np.real(
-        np.array(
-            [
-                np.trace(effect @ SIGMA_X),
-                np.trace(effect @ SIGMA_Y),
-                np.trace(effect @ SIGMA_Z),
-            ]
-        )
-    )
+    return np.einsum("kij,ji->k", np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), effect).real
 
 
 def four_outcome_refinement(s: float) -> Povm:
@@ -307,8 +290,4 @@ def four_outcome_refinement(s: float) -> Povm:
 
 def noisy_spin_triplet(t: float) -> tuple[Povm, Povm, Povm]:
     """Noisy x, y and z spin observables with common sharpness t."""
-    return (
-        qubit_binary(t, AXIS_X),
-        qubit_binary(t, AXIS_Y),
-        qubit_binary(t, AXIS_Z),
-    )
+    return tuple(qubit_binary(t, n) for n in (AXIS_X, AXIS_Y, AXIS_Z))

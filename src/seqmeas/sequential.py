@@ -4,10 +4,11 @@ The universal channel of an observable A is the instrument built on A's
 minimal Naimark dilation (K, A_hat, V), with one Kraus operator A_hat(x) V
 per outcome.  Measuring A this way keeps enough coherence that any
 observable B jointly measurable with A can still be recovered afterwards.
-Given a joint observable M with first marginal A, write W_x = R_x^dag
-sqrt(A(x)) for block x of the dilation isometry (R_x a basis of the range
-of A(x)).  The modified observable B' on K is block-diagonal, with blocks
-B'_x(y) = W_x^+dag M(x, y) W_x^+, and
+Given a joint observable M with first marginal A, block x of the dilation
+isometry is W_x = diag(sqrt(lambda)) V_r^dag, from the eigenvalues lambda
+of A(x) above the rank cut and their eigenvectors V_r, and its
+pseudo-inverse is W_x^+ = W_x^dag diag(1/lambda).  The modified observable
+B' on K is block-diagonal, with blocks B'_x(y) = W_x^+dag M(x, y) W_x^+, and
 
     universal_channel(A)^* ( B'(y) ) = sum_x W_x^dag B'_x(y) W_x = B(y),
 
@@ -30,7 +31,7 @@ from .channels import (
     heisenberg_apply,
     heisenberg_branch,
 )
-from .dilation import naimark_minimal
+from .dilation import NaimarkDilation, naimark_minimal
 from .linalg import CHECK_TOL, MARGINAL_TOL, dagger
 from .povm import Povm, effects_close, marginal
 
@@ -44,16 +45,19 @@ __all__ = [
     "sequential_scheme",
 ]
 
+def _instrument(d: NaimarkDilation) -> KrausChannel:
+    """The instrument with Kraus operators A_hat(x) V of a dilation."""
+    partition = {lbl: (i,) for i, lbl in enumerate(d.sharp.labels)}
+    return KrausChannel(d.dim, d.dim_k, d.sharp.effects @ d.isometry, partition)
+
+
 def universal_channel(a: Povm) -> KrausChannel:
     """Instrument with Kraus operators A_hat(x) V over the minimal dilation.
 
     Output lives on the dilation space; the branch partition is one Kraus
     operator per outcome of ``a``, so branch traces reproduce ``a``.
     """
-    d = naimark_minimal(a)
-    kraus = d.sharp.effects @ d.isometry
-    partition = {lbl: (i,) for i, lbl in enumerate(d.sharp.labels)}
-    return KrausChannel(a.dim, d.dim_k, kraus, partition)
+    return _instrument(naimark_minimal(a))
 
 
 def modified_observable(a: Povm, joint: Povm) -> Povm:
@@ -67,30 +71,34 @@ def modified_observable(a: Povm, joint: Povm) -> Povm:
     equals J^dag B_hat(y) J for the sharp readout B_hat of the joint's
     canonical dilation and the isometry J connecting the two dilations.
     """
+    return _modified(naimark_minimal(a), a, joint)
+
+
+def _modified(mini: NaimarkDilation, a: Povm, joint: Povm) -> Povm:
+    """`modified_observable` on ``mini``, the minimal dilation of ``a``, with
+    every block at once on the dilation space, masked back onto the blocks."""
     if joint.arity < 2:
         raise ValueError("joint observable needs at least two label axes")
     if joint.dim != a.dim:
         raise ValueError("joint observable acts on the wrong space")
     if not effects_close(marginal(joint, 0), a, tol=MARGINAL_TOL):
-        raise ValueError(
-            "leading marginal of the joint does not match the first observable"
-        )
-    mini = naimark_minimal(a)
+        raise ValueError("leading marginal of the joint does not match the first observable")
+    v = mini.isometry
+    owner = mini.sharp.effects.diagonal(axis1=1, axis2=2).real.argmax(axis=0)
+    # the rows of W_x are orthogonal with squared norms lambda, so
+    # V^dag diag(1/lambda) holds each W_x^+ in the columns of block x
+    w_pinv = dagger(v) / (np.abs(v) ** 2).sum(axis=1)
     later = sorted({lbl[1:] for lbl in joint.labels})
-    b_prime = np.zeros((len(later), mini.dim_k, mini.dim_k), dtype=np.complex128)
-    for (x_lbl,), proj in zip(mini.sharp.labels, mini.sharp.effects):
-        rows = np.flatnonzero(proj.diagonal())
-        w_pinv = np.linalg.pinv(mini.isometry[rows])
-        mine = [i for i, lbl in enumerate(joint.labels) if lbl[0] == x_lbl]
-        blocks = dagger(w_pinv) @ joint.effects[mine] @ w_pinv
-        vals, vecs = np.linalg.eigh(blocks.sum(axis=0))
-        if (vals <= 0).any():
-            raise ValueError(f"joint block {x_lbl} is singular on the range of A")
-        norm = (vecs / np.sqrt(vals)) @ dagger(vecs)
-        effs = norm @ blocks @ norm
-        ys = [later.index(joint.labels[i][1:]) for i in mine]
-        b_prime[np.ix_(ys, rows, rows)] = (effs + dagger(effs)) / 2
-    return Povm(mini.dim_k, zip(later, b_prime))
+    mine = owner == np.array([a.labels.index(lbl[:1]) for lbl in joint.labels])[:, None]
+    blocks = dagger(w_pinv) @ joint.effects @ w_pinv * (mine[:, :, None] & mine[:, None, :])
+    raw = np.zeros((len(later), mini.dim_k, mini.dim_k), dtype=np.complex128)
+    np.add.at(raw, [later.index(lbl[1:]) for lbl in joint.labels], blocks)
+    vals, vecs = np.linalg.eigh(raw.sum(axis=0))
+    if (vals <= 0).any():
+        raise ValueError("the joint is singular on the range of an effect of A")
+    norm = (vecs / np.sqrt(vals)) @ dagger(vecs)
+    effs = norm @ raw @ norm * (owner[:, None] == owner)
+    return Povm(mini.dim_k, zip(later, (effs + dagger(effs)) / 2))
 
 
 def compensating_channel(a: Povm, joint: Povm) -> KrausChannel:
@@ -142,7 +150,9 @@ class SequentialScheme:
 
 
 def sequential_scheme(a: Povm, joint: Povm) -> SequentialScheme:
-    """Bundle the universal implementation of a joint observable."""
-    channel = universal_channel(a)
-    second = modified_observable(a, joint)
+    """Bundle the universal implementation of a joint observable, both
+    parts built on one minimal dilation of ``a``."""
+    mini = naimark_minimal(a)
+    channel = _instrument(mini)
+    second = _modified(mini, a, joint)
     return SequentialScheme(a, channel, second, implemented_joint(channel, second))

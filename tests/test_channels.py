@@ -24,7 +24,8 @@ from seqmeas.channels import (
     nondisturbing,
     stinespring,
 )
-from seqmeas.linalg import dagger, frob, partial_trace, tensor
+from seqmeas.dilation import naimark_canonical, naimark_minimal
+from seqmeas.linalg import dagger, frob
 from seqmeas.povm import (
     AXIS_X,
     AXIS_Z,
@@ -278,7 +279,7 @@ def test_choi_output_trace_is_identity():
     c = random_channel(3, 2, 3)
     j = choi(c)
     assert j.shape == (c.dim_out * c.dim_in,) * 2
-    reduced = partial_trace(j, c.dim_out, c.dim_in, "first")
+    reduced = np.einsum("ijik->jk", j.reshape(c.dim_out, c.dim_in, c.dim_out, c.dim_in))
     assert np.allclose(reduced, np.eye(3), atol=1e-12)
 
 
@@ -287,9 +288,9 @@ def test_choi_reproduces_action():
     c = random_channel(2, 3, 2)
     j = choi(c)
     rho = random_state(2)
-    lifted = j @ tensor(np.eye(3), rho.T)
+    lifted = j @ np.kron(np.eye(3), rho.T)
     assert np.allclose(
-        partial_trace(lifted, 3, 2, "second"), apply(c, rho), atol=1e-12
+        np.einsum("ijkj->ik", lifted.reshape(3, 2, 3, 2)), apply(c, rho), atol=1e-12
     )
 
 
@@ -369,6 +370,15 @@ def test_classical_channel_readout_axes_validation():
             classical_channel(c, readout_axes=axes)
 
 
+def test_constructions_refuse_an_effect_that_is_not_psd():
+    # A(0) dips 1e-8 below zero, past RANK_TOL: dropping that direction, as
+    # classical_channel once did, would measure another observable
+    a = Povm(2, [((0,), np.diag([1 + 1e-8, -1e-8])), ((1,), np.diag([0.0, 1.0]))])
+    for build in (classical_channel, luders, naimark_minimal, naimark_canonical):
+        with pytest.raises(ValueError, match="PSD"):
+            build(a)
+
+
 # --- Stinespring and conjugate -------------------------------------------
 
 def test_stinespring_is_isometry():
@@ -382,14 +392,14 @@ def test_stinespring_reductions():
     c = random_channel(2, 3, 3)
     v = stinespring(c)
     rho = random_state(2)
-    lifted = v @ rho @ dagger(v)
+    lifted = (v @ rho @ dagger(v)).reshape((c.dim_out, len(c.kraus)) * 2)
     assert np.allclose(
-        partial_trace(lifted, c.dim_out, len(c.kraus), "second"),
+        np.einsum("ijkj->ik", lifted),
         apply(c, rho),
         atol=1e-12,
     )
     assert np.allclose(
-        partial_trace(lifted, c.dim_out, len(c.kraus), "first"),
+        np.einsum("ijik->jk", lifted),
         apply(conjugate(c), rho),
         atol=1e-12,
     )

@@ -15,7 +15,7 @@ MODULES = ["seqmeas"] + [f"seqmeas.{m.name}" for m in pkgutil.iter_modules(seqme
 # predicates keep a `tol` because their callers hold them to different
 # accuracies (SolverOptions, a class, carries the solver's stopping tol)
 TOLERANCE_TAKERS = {
-    "validate", "is_sharp", "commutes", "effects_close", "is_psd",
+    "validate", "is_sharp", "effects_close", "is_psd",
     "is_trace_preserving", "nondisturbing", "verify_dilation", "verify_sequential",
 }
 

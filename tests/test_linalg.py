@@ -1,8 +1,8 @@
 """Tests for the dense linear algebra primitives.
 
-Reference values come from brute-force index loops written independently of
-the library code, so any bookkeeping mistake in the vectorized versions
-shows up as a disagreement here.
+Reference values come from closed forms and from one `np.linalg.eigh` call
+per matrix, so any bookkeeping mistake in the batched versions shows up as
+a disagreement here.
 """
 
 import numpy as np
@@ -13,10 +13,8 @@ from seqmeas.linalg import (
     frob,
     herm_eig,
     is_psd,
-    partial_trace,
-    range_isometry,
+    range_factors,
     sqrt_psd,
-    tensor,
 )
 
 RNG = np.random.default_rng(20260819)
@@ -35,100 +33,6 @@ def random_hermitian(n):
 def random_psd(n):
     m = random_complex(n)
     return m @ dagger(m)
-
-
-# --- oracles -----------------------------------------------------------
-
-def tensor_oracle(a, b):
-    """Four-index loop definition of the Kronecker product."""
-    p, q = a.shape
-    r, s = b.shape
-    out = np.zeros((p * r, q * s), dtype=complex)
-    for i in range(p):
-        for j in range(q):
-            for k in range(r):
-                for l in range(s):
-                    out[i * r + k, j * s + l] = a[i, j] * b[k, l]
-    return out
-
-
-def partial_trace_oracle(m, d1, d2, traced):
-    """Index-loop partial trace over one factor of C^d1 (x) C^d2."""
-    if traced == "first":
-        out = np.zeros((d2, d2), dtype=complex)
-        for j in range(d2):
-            for k in range(d2):
-                for i in range(d1):
-                    out[j, k] += m[i * d2 + j, i * d2 + k]
-    else:
-        out = np.zeros((d1, d1), dtype=complex)
-        for i in range(d1):
-            for k in range(d1):
-                for j in range(d2):
-                    out[i, k] += m[i * d2 + j, k * d2 + j]
-    return out
-
-
-# --- tensor ------------------------------------------------------------
-
-def test_tensor_matches_loop_oracle():
-    a = random_complex(2, 3)
-    b = random_complex(3, 2)
-    assert np.allclose(tensor(a, b), tensor_oracle(a, b), atol=1e-13)
-
-
-def test_tensor_identity_blocks():
-    m = random_complex(2)
-    out = tensor(np.eye(2), m)
-    assert np.allclose(out[:2, :2], m)
-    assert np.allclose(out[2:, 2:], m)
-    assert np.allclose(out[:2, 2:], 0)
-
-
-def test_tensor_three_factors_associative():
-    a, b, c = random_complex(2), random_complex(2), random_complex(3)
-    assert np.allclose(tensor(a, b, c), tensor(tensor(a, b), c), atol=1e-13)
-    assert np.allclose(tensor(a, b, c), tensor(a, tensor(b, c)), atol=1e-13)
-
-
-def test_tensor_no_factors_raises():
-    with pytest.raises(ValueError):
-        tensor()
-
-
-# --- partial trace -----------------------------------------------------
-
-@pytest.mark.parametrize("traced", ["first", "second"])
-def test_partial_trace_matches_loop_oracle(traced):
-    m = random_complex(6)
-    assert np.allclose(
-        partial_trace(m, 2, 3, traced),
-        partial_trace_oracle(m, 2, 3, traced),
-        atol=1e-13,
-    )
-
-
-def test_partial_trace_of_product_state():
-    a, b = random_psd(2), random_psd(3)
-    m = tensor(a, b)
-    assert np.allclose(partial_trace(m, 2, 3, "second"), a * np.trace(b), atol=1e-12)
-    assert np.allclose(partial_trace(m, 2, 3, "first"), b * np.trace(a), atol=1e-12)
-
-
-def test_partial_trace_of_maximally_entangled_pair():
-    # |00> + |11>, unnormalized: both reductions are the identity
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1.0
-    m = np.outer(v, v.conj())
-    assert np.allclose(partial_trace(m, 2, 2, "first"), np.eye(2))
-    assert np.allclose(partial_trace(m, 2, 2, "second"), np.eye(2))
-
-
-def test_partial_trace_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(5), 2, 3, "first")
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(6), 2, 3, "both")
 
 
 # --- herm_eig ----------------------------------------------------------
@@ -173,6 +77,22 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(np.ones((2, 3)))
 
 
+def test_herm_eig_stack_matches_each_matrix():
+    stack = np.stack([random_hermitian(4) for _ in range(3)]).reshape(3, 1, 4, 4)
+    vals, vecs = herm_eig(stack)
+    assert vals.shape == (3, 1, 4) and vecs.shape == (3, 1, 4, 4)
+    for i in range(3):
+        one_vals, one_vecs = herm_eig(stack[i, 0])
+        assert np.array_equal(vals[i, 0], one_vals)
+        assert np.array_equal(vecs[i, 0], one_vecs)
+
+
+def test_herm_eig_stack_checks_each_matrix():
+    stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match="Hermitian"):
+        herm_eig(stack)
+
+
 # --- sqrt_psd ----------------------------------------------------------
 
 def test_sqrt_psd_known_values():
@@ -199,6 +119,15 @@ def test_sqrt_psd_rejects_indefinite():
         sqrt_psd(np.diag([1.0, -0.5]))
 
 
+def test_sqrt_psd_stack_matches_each_matrix():
+    stack = np.stack([random_psd(3), np.diag([1.0, 1e-17, 0.0]), np.eye(3)])
+    roots = sqrt_psd(stack)
+    for m, r in zip(stack, roots):
+        assert np.array_equal(r, sqrt_psd(m))
+    with pytest.raises(ValueError, match="PSD"):
+        sqrt_psd(np.stack([np.eye(2), np.diag([1.0, -0.5])]))
+
+
 # --- is_psd ------------------------------------------------------------
 
 def test_is_psd():
@@ -209,34 +138,38 @@ def test_is_psd():
     assert not is_psd(np.ones((2, 3)))
 
 
-# --- range_isometry ----------------------------------------------------
+# --- range_factors -----------------------------------------------------
 
-def test_range_isometry_rank_one():
+def test_range_factors_rank_one():
     v = np.array([1.0, 1j]) / np.sqrt(2)
-    w = range_isometry(np.outer(v, v.conj()))
-    assert w.shape == (2, 1)
-    # spans the same line
-    assert abs(abs(np.vdot(w[:, 0], v)) - 1.0) <= 1e-12
+    rows, owner = range_factors(np.outer(v, v.conj())[None])
+    assert rows.shape == (1, 2) and owner.tolist() == [0]
+    # spans the same line, with unit weight
+    assert abs(abs(np.vdot(rows[0].conj(), v)) - 1.0) <= 1e-12
 
 
-def test_range_isometry_full_rank():
-    m = np.diag([0.9, 0.1])
-    w = range_isometry(m)
-    assert w.shape == (2, 2)
-    assert frob(dagger(w) @ w - np.eye(2)) <= 1e-12
+def test_range_factors_full_rank():
+    rows, owner = range_factors(np.diag([0.9, 0.1])[None])
+    assert rows.shape == (2, 2) and owner.tolist() == [0, 0]
+    assert frob(rows @ dagger(rows) - np.diag([0.9, 0.1])) <= 1e-12
     # descending eigenvalue order puts the 0.9 direction first
-    assert abs(w[0, 0]) > 0.99
+    assert abs(abs(rows[0, 0]) ** 2 - 0.9) <= 1e-12
 
 
-def test_range_isometry_projects_onto_range():
+def test_range_factors_factor_each_matrix():
     w = random_complex(5, 2)
-    m = w @ dagger(w)  # rank 2 PSD
-    v = range_isometry(m)
-    assert v.shape == (5, 2)
-    proj = v @ dagger(v)
-    assert frob(proj @ m - m) <= 1e-10
+    stack = np.stack([w @ dagger(w), np.zeros((5, 5)), random_psd(5)])
+    rows, owner = range_factors(stack)
+    assert owner.tolist() == [0, 0, 2, 2, 2, 2, 2]
+    for i, m in enumerate(stack):
+        block = rows[owner == i]
+        assert frob(dagger(block) @ block - m) <= 1e-10 * max(frob(m), 1.0)
+        # orthogonal rows, weights descending: W W^dag = diag(lambda)
+        gram = block @ dagger(block)
+        lam = np.linalg.eigvalsh(m)[::-1][: len(block)]
+        assert frob(gram - np.diag(lam)) <= 1e-10 * max(frob(m), 1.0)
 
 
-def test_range_isometry_rejects_indefinite():
-    with pytest.raises(ValueError):
-        range_isometry(np.diag([1.0, -1.0]))
+def test_range_factors_rejects_indefinite():
+    with pytest.raises(ValueError, match="PSD"):
+        range_factors(np.stack([np.eye(2), np.diag([1.0, -1.0])]))

@@ -13,7 +13,6 @@ from seqmeas.povm import (
     SIGMA_Z,
     Povm,
     bloch_vector,
-    commutes,
     effects_close,
     four_outcome_refinement,
     is_product_labeled,
@@ -98,7 +97,7 @@ def test_effect_lookup():
         a.effect(2)
 
 
-# --- validate / is_sharp / commutes ------------------------------------
+# --- validate / is_sharp ----------------------------------------------
 
 def test_validate_accepts_stock_observables():
     assert validate(sharp_z())
@@ -120,21 +119,6 @@ def test_is_sharp():
     assert is_sharp(sharp_z())
     assert is_sharp(trivial(4))
     assert not is_sharp(qubit_binary(0.8, AXIS_Z))
-
-
-def test_commutes_parallel_axes():
-    assert commutes(qubit_binary(0.8, AXIS_Z), qubit_binary(0.6, AXIS_Z))
-
-
-def test_commutes_tilted_axes_fails():
-    tilted = qubit_binary(0.6, (math.sin(math.pi / 4), 0.0, math.cos(math.pi / 4)))
-    assert not commutes(qubit_binary(0.8, AXIS_Z), tilted)
-    assert commutes(qubit_binary(0.8, AXIS_Z), trivial(2))
-
-
-def test_commutes_dimension_mismatch():
-    with pytest.raises(ValueError):
-        commutes(trivial(2), trivial(3))
 
 
 # --- marginals ---------------------------------------------------------

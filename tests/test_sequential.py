@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import seqmeas.sequential
 
 from seqmeas.channels import (
     KrausChannel,
@@ -16,11 +20,13 @@ from seqmeas.channels import (
 from seqmeas.dilation import (
     NaimarkDilation,
     connecting_isometry,
+    is_minimal,
     naimark_canonical,
     naimark_minimal,
+    verify_dilation,
 )
 from seqmeas.feasibility import SolverOptions, find_joint_observable, witness_povm
-from seqmeas.linalg import WITNESS_TOL, dagger, frob
+from seqmeas.linalg import CHECK_TOL, PSD_TOL, RANK_TOL, WITNESS_TOL, dagger, frob
 from seqmeas.povm import (
     AXIS_X,
     AXIS_Z,
@@ -313,3 +319,79 @@ def test_implemented_joint_requires_partition():
     b = qubit_binary(0.6, AXIS_X)
     with pytest.raises(ValueError, match="partition"):
         implemented_joint(KrausChannel(2, 2, (np.eye(2, dtype=complex),)), b)
+
+
+# --- one spectral form per observable --------------------------------------
+
+def psd_root(m):
+    # roundoff on the kernel is cut, or its root (1e-8 from 1e-16) would
+    # put the joint off the ranges of A
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.where(w > PSD_TOL, w, 0.0))) @ dagger(v)
+
+
+@st.composite
+def observables_with_joints(draw):
+    """An observable A on C^d, d = 2-8, whose effects may be rank-deficient,
+    zero or all sharp, and the effects M(x, y) = A(x)^1/2 F(y) A(x)^1/2,
+    shape (n, 2, d, d), of a joint of A with a full-rank binary F."""
+    d, n = draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(cols):
+        return rng.normal(size=(d, cols)) + 1j * rng.normal(size=(d, cols))
+
+    if draw(st.booleans()):
+        # sharp: split an orthonormal basis, some parts maybe empty
+        q = np.linalg.qr(gaussian(d))[0]
+        cuts = np.sort(rng.integers(0, d + 1, size=n - 1))
+        effects = [c @ dagger(c) for c in np.split(q, cuts, axis=1)]
+    else:
+        ranks = [draw(st.integers(0, d)) for _ in range(n)]
+        ranks[-1] = max(ranks[-1], d - sum(ranks[:-1]))  # the ranges span C^d
+        grams = [g @ dagger(g) for g in map(gaussian, ranks)]
+        vals, vecs = np.linalg.eigh(sum(grams))
+        root = (vecs / np.sqrt(vals)) @ dagger(vecs)
+        effects = [root @ g @ root for g in grams]
+    u = np.linalg.qr(gaussian(d))[0]
+    f0 = (u * rng.uniform(0.1, 0.9, size=d)) @ dagger(u)
+    sandwiches = [(r @ f0 @ r, r @ (np.eye(d) - f0) @ r) for r in map(psd_root, effects)]
+    # plain arrays: hypothesis cannot print a Povm in a failure report
+    return np.array(effects), np.array(sandwiches)
+
+
+def minimal_oracle(effects):
+    """The minimal dilation's isometry the old way: R^dag sqrt(A(x)) from one
+    eigh per effect, R its range basis by descending eigenvalue."""
+    blocks = []
+    for m in effects:
+        w, v = np.linalg.eigh((m + dagger(m)) / 2)
+        lead = v[np.abs(v).argmax(axis=0), np.arange(len(w))]
+        v = v * (np.abs(lead) / lead)
+        r = v[:, w > RANK_TOL][:, ::-1]
+        root = (v * np.sqrt(np.where(w > PSD_TOL, w, 0.0))) @ dagger(v)
+        blocks.append(dagger(r) @ (root + dagger(root)) / 2)
+    return np.vstack(blocks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(observables_with_joints())
+def test_one_spectral_form_serves_every_construction(problem):
+    effects, sandwiches = problem
+    d = effects.shape[-1]
+    a = Povm(d, (((x,), e) for x, e in enumerate(effects)))
+    joint = Povm(d, (((x, y), m) for x, pair in enumerate(sandwiches) for y, m in enumerate(pair)))
+    mini = naimark_minimal(a)
+    assert np.abs(mini.isometry - minimal_oracle(a.effects)).max() <= 1e-12
+    assert verify_dilation(a, mini) and is_minimal(mini)
+    # the classical readout writes the dilation's rows onto the register
+    assert np.array_equal(classical_channel(a).kraus.sum(axis=1), mini.isometry)
+    roots = luders(a).kraus
+    assert np.abs(roots @ roots - a.effects).max() <= 1e-10
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqmeas.sequential, "naimark_minimal",
+                   lambda p: calls.append(p) or naimark_minimal(p))
+        scheme = sequential_scheme(a, joint)
+    assert len(calls) == 1
+    assert effects_close(scheme.implemented, joint, tol=CHECK_TOL)
