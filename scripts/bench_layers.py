@@ -18,7 +18,11 @@ Luders channel of A:
   `classical_channel` of M;
 - `sequential`: `universal_channel` of A, `modified_observable` of A and
   M, `verify_sequential` of B' against the other marginal B,
-  `implemented_joint` of B', and `sequential_scheme` of A and M.
+  `implemented_joint` of B', and `sequential_scheme` of A and M;
+- `feasibility`: `conjugate_is_b_channel` of B on the universal channel
+  and on the Luders channel, and `find_joint_observable` of A and B, each
+  with a `.sweeps` row next to its time: the solver sweeps of one call,
+  which do not depend on the machine.
 
 Timing and output follow `bench_cli.py`: each figure is the median CPU
 time of one call over 15 batches, the results go into column NAME and
@@ -40,7 +44,7 @@ DIMS = (2, 8)
 
 def measure() -> dict:
     import numpy as np
-    from seqmeas import channels, dilation, sequential
+    from seqmeas import channels, dilation, feasibility, sequential
     from seqmeas.povm import Povm, marginal, marginals, post_process, validate
     from seqmeas.serialize import povm_to_json
 
@@ -48,6 +52,10 @@ def measure() -> dict:
 
     def timed(name: str, fn) -> None:
         rows[name] = ("us", round(per_call(fn) * 1e6, 3))
+
+    def solved(name: str, fn) -> None:
+        timed(name, fn)
+        rows[f"{name}.sweeps"] = ("sweeps", fn().iterations)
 
     for d in DIMS:
         rng = np.random.default_rng(d)
@@ -92,6 +100,11 @@ def measure() -> dict:
               lambda: sequential.implemented_joint(uni, b_prime))
         timed(f"sequential.sequential_scheme.d{d}",
               lambda: sequential.sequential_scheme(a, joint))
+        solved(f"feasibility.conjugate_universal.d{d}",
+               lambda: feasibility.conjugate_is_b_channel(uni, b))
+        solved(f"feasibility.conjugate_luders.d{d}",
+               lambda: feasibility.conjugate_is_b_channel(lud, b))
+        solved(f"feasibility.find_joint.d{d}", lambda: feasibility.find_joint_observable(a, b))
     return rows
 
 

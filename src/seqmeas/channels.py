@@ -125,9 +125,11 @@ def _check_operators(c: KrausChannel, t: np.ndarray) -> np.ndarray:
 
 def _dual(kraus: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_k K_k^dag t K_k over a stack (n, m, d) of operators K_k, for one
-    m x m operator t or for each of a stack (..., m, m) of them."""
-    k = kraus.reshape(kraus.shape[:1] + (1,) * (t.ndim - 2) + kraus.shape[1:])
-    return (dagger(k) @ t @ k).sum(axis=0)
+    m x m operator t or for each of a stack (..., m, m) of them, as one
+    product S^dag (t K_k)_k with the K_k stacked into an (n m) x d matrix S."""
+    n, m, d = kraus.shape
+    tk = (t[..., None, :, :] @ kraus).reshape(t.shape[:-2] + (n * m, d))
+    return dagger(kraus.reshape(n * m, d)) @ tk
 
 
 def apply(c: KrausChannel, state: np.ndarray) -> np.ndarray:

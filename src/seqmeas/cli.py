@@ -48,7 +48,7 @@ from .povm import (
     qubit_binary,
     refinement_joint,
 )
-from .sequential import modified_observable, universal_channel, verify_sequential
+from .sequential import _instrument, _modified, verify_sequential
 from .serialize import (
     SchemaError,
     channel_from_json,
@@ -264,7 +264,9 @@ def cmd_universal(args) -> int:
     a = povm_from_json(_read_json(args.a_path))
     inputs = _digests(args, args.a_path)
     opts = _solver_options(args)
-    uni = universal_channel(a)
+    # one minimal dilation serves the channel and the recovered B'
+    mini = naimark_minimal(a)
+    uni = _instrument(mini)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,7 +291,7 @@ def cmd_universal(args) -> int:
                                  time.perf_counter() - start, outcome_to_json(found)))
             _report(args, "universal", checks, inputs)
             return code
-        b_prime = modified_observable(a, witness_povm(found))
+        b_prime = _modified(mini, a, witness_povm(found))
         verified = verify_sequential(uni, b_prime, b, tol=CHECK_TOL)
         seconds = time.perf_counter() - start
         print(f"recovered observable verifies: {verified}")
@@ -373,11 +375,11 @@ def cmd_selftest(args) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         a = qubit_binary(A_STRENGTH, AXIS_Z)
-        _write_json(str(out_dir / "universal_channel.json"),
-                    channel_to_json(universal_channel(a)))
+        mini = naimark_minimal(a)
+        _write_json(str(out_dir / "universal_channel.json"), channel_to_json(_instrument(mini)))
         _write_json(str(out_dir / "modified_refinement.json"),
-                    povm_to_json(modified_observable(
-                        a, refinement_joint(four_outcome_refinement(A_STRENGTH)))))
+                    povm_to_json(_modified(
+                        mini, a, refinement_joint(four_outcome_refinement(A_STRENGTH)))))
         boundary = find_joint_observable(a, qubit_binary(B_STRENGTH, AXIS_X), opts=opts)
         _write_json(str(out_dir / "boundary_witness.json"),
                     povm_to_json(witness_povm(boundary)))

@@ -83,7 +83,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .channels import KrausChannel, conjugate
+from .channels import KrausChannel, _dual, conjugate
 from .linalg import (
     BOUNDARY_SLACK, CERTIFICATE_SLACK, CHECK_TOL, NECESSARY_TOL, RANK_RCOND, RANK_TOL,
     dagger,
@@ -208,6 +208,11 @@ class _Marginals:
     through X -> sum_k K^dag X K over the (n, d_out, d_in) array `kraus`
     (the identity when `kraus` is None), equal `targets`, one per cell of
     the kept axes in row-major order.
+
+    The map and its adjoint Y -> sum_k K Y K^dag are stacked Kraus products
+    (`channels._dual`).  Their composite, the Gram operator X -> sum_kl
+    G X G^dag over G = K_k^dag K_l on row-major vec, is inverted as
+    V diag(1/w) V^dag on `span`, its eigenvectors V above `RANK_RCOND` relative.
     """
 
     def __init__(
@@ -225,50 +230,43 @@ class _Marginals:
         self.lift = tuple(n if i in keep else 1 for i, n in enumerate(grid))
         self.targets = np.asarray(targets, dtype=complex)
         self.flat_targets = self.targets.reshape(len(self.targets), -1)
-        self.smat = None
         # squared operator norm of the map a block is read through
         self.gain = 1.0
         self.lifted = self.lift + self.targets.shape[1:]
         if kraus is not None:
-            n_k, d_out, d_in = kraus.shape
+            d_out, d_in = kraus.shape[1:]
             self.lifted = self.lift + (d_out, d_out)
-            # row-major vec(K^dag X K) = kron(K^dag, K^T) vec(X), summed over K
-            kt = np.conj(kraus).transpose(2, 1, 0).reshape(d_in * d_out, n_k)
-            smat = kt @ kraus.transpose(0, 2, 1).reshape(n_k, d_in * d_out)
-            smat = smat.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
-            self.smat = smat.reshape(d_in * d_in, d_out * d_out)
-            # smat smat^dag is X -> sum_kl G X G^dag over G = K_k^dag K_l
-            g = (dagger(kraus)[:, None] @ kraus).reshape(-1, d_in * d_in)
+            self.kraus_dag = np.ascontiguousarray(dagger(kraus))
+            g = (self.kraus_dag[:, None] @ kraus).reshape(-1, d_in * d_in)
             gram = (g.T @ g.conj()).reshape(d_in, d_in, d_in, d_in)
             gram = gram.transpose(0, 2, 1, 3).reshape(d_in * d_in, d_in * d_in)
-            # the Gram matrix is PSD, so its pseudo-inverse comes from eigh
             w, v = np.linalg.eigh(gram)
             self.gain = float(w[-1])
             big = w > RANK_RCOND * w[-1]
-            self.ginv = (v[:, big] / w[big]) @ dagger(v[:, big])
             self.span = v[:, big]
+            self.coords = self.span.conj() / w[big]
 
     @functools.cached_property
     def off_range(self) -> np.ndarray | float:
         """The part of the targets outside the range of the map, which no
         blocks reach (zero without a map); only certificates need it."""
-        if self.smat is None:
+        if self.kraus is None:
             return 0.0
         return self.flat_targets - (self.flat_targets @ self.span.conj()) @ self.span.T
 
     def _defect(self, x: np.ndarray) -> np.ndarray:
-        g = x.reshape(self.grid + (-1,)).sum(axis=self.sum_axes)
-        flat = g.reshape(len(self.targets), -1)
-        if self.smat is not None:
-            flat = flat @ self.smat.T
-        return self.flat_targets - flat
+        g = x.reshape(self.grid + x.shape[1:]).sum(axis=self.sum_axes)
+        g = g.reshape((len(self.targets),) + x.shape[1:])
+        if self.kraus is not None:
+            g = _dual(self.kraus, g)
+        return self.flat_targets - g.reshape(len(self.targets), -1)
 
     def project(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The projection of x, and the multiplier z (one flattened matrix
         per target) with project(x) = x + adjoint(z)."""
         z = self._defect(x) / self.scale
-        if self.smat is not None:
-            z = z @ self.ginv.T
+        if self.kraus is not None:
+            z = (z @ self.coords) @ self.span.T
         g = x.reshape(self.grid + x.shape[1:]) + self.adjoint(z)
         return g.reshape(x.shape), z
 
@@ -276,8 +274,9 @@ class _Marginals:
         """L*z: each target's multiplier read back through Y -> sum_k K Y K^dag,
         on the grid with the summed axes of length one, so that it
         broadcasts onto every block that sums into the target."""
-        step = z if self.smat is None else z @ self.smat.conj()
-        return step.reshape(self.lifted)
+        if self.kraus is not None:
+            z = _dual(self.kraus_dag, z.reshape(self.targets.shape))
+        return z.reshape(self.lifted)
 
     def violation(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self._defect(x)))
@@ -414,10 +413,10 @@ def _solve(
     sum to that total, whatever axes a family keeps.
     """
     sets = [_Marginals(grid, *family) for family in families]
-    total = next(s for s in sets if s.kraus is None).flat_targets.sum(axis=0)
+    total = next(s for s in sets if s.kraus is None).targets.sum(axis=0)
     for cset in sets:
-        image = total if cset.smat is None else total @ cset.smat.T
-        gap = float(np.linalg.norm(cset.flat_targets.sum(axis=0) - image))
+        image = total if cset.kraus is None else _dual(cset.kraus, total)
+        gap = float(np.linalg.norm(cset.targets.sum(axis=0) - image))
         if gap > NECESSARY_TOL * math.sqrt(cset.targets.shape[-1]):
             raise NecessaryConditionError(
                 f"target sums disagree with the image of the total (defect {gap:.3e})"

@@ -62,11 +62,7 @@ from .povm import (
     refinement_joint,
     validate,
 )
-from .sequential import (
-    compensating_channel,
-    modified_observable,
-    universal_channel,
-)
+from .sequential import _instrument, _modified
 from .serialize import povm_to_json
 
 __all__ = ["CheckResult", "Report", "CHECK_NAMES", "run_checks", "digest"]
@@ -275,11 +271,12 @@ def _recovery_cases(seed: int, opts: SolverOptions) -> list[tuple[str, Povm, Pov
 
 def _check_universal_recovery(seed: int, opts: SolverOptions) -> tuple[str, dict]:
     a = qubit_binary(A_STRENGTH, AXIS_Z)
-    uni = universal_channel(a)
+    mini = naimark_minimal(a)
+    uni = _instrument(mini)
     rows = []
     worst = 0.0
     for name, joint, b in _recovery_cases(seed, opts):
-        b_prime = modified_observable(a, joint)
+        b_prime = _modified(mini, a, joint)
         order = [b_prime.labels.index(lbl) for lbl in b.labels]
         recovered = heisenberg_apply(uni, b_prime.effects[order])
         resid = float(np.linalg.norm(recovered - b.effects, axis=(1, 2)).max())
@@ -296,9 +293,8 @@ def _check_universal_recovery(seed: int, opts: SolverOptions) -> tuple[str, dict
 
 def _check_sharp_reduction(seed: int, opts: SolverOptions) -> tuple[str, dict]:
     sharp = qubit_binary(1.0, AXIS_Z)
-    lam = universal_channel(sharp)
-    v = naimark_minimal(sharp).isometry
-    identified = KrausChannel(2, 2, dagger(v) @ lam.kraus)
+    mini = naimark_minimal(sharp)
+    identified = KrausChannel(2, 2, dagger(mini.isometry) @ _instrument(mini).kraus)
     diff = frob(choi(identified) - choi(luders(sharp)))
     status = "pass" if diff <= 1e-10 else "fail"
     return status, {"choi_difference": diff, "tolerance": 1e-10}
@@ -396,8 +392,8 @@ def _check_duality(seed: int, opts: SolverOptions) -> tuple[str, dict]:
 
 def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dict]:
     a = qubit_binary(A_STRENGTH, AXIS_Z)
-    uni = universal_channel(a)
     mini = naimark_minimal(a)
+    uni = _instrument(mini)
     worst_aux = worst_factor = worst_witness = worst_b_prime = 0.0
     witnesses_valid = True
     for name, joint, b in _recovery_cases(seed, opts):
@@ -413,10 +409,11 @@ def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dic
                 worst_aux = max(worst_aux, frob(m_hat @ j @ a_hat - want))
         # the closed-form B' is the sharp readout compressed through J
         b_hat = marginal(cano.sharp, tuple(range(1, joint.arity)))
-        gaps = modified_observable(a, joint).effects - dagger(j) @ b_hat.effects @ j
+        b_prime = _modified(mini, a, joint)
+        gaps = b_prime.effects - dagger(j) @ b_hat.effects @ j
         worst_b_prime = max(worst_b_prime, float(np.linalg.norm(gaps, axis=(1, 2)).max()))
         # measure-and-prepare for b factors through the universal channel
-        gamma = compensating_channel(a, joint)
+        gamma = classical_channel(b_prime)
         readout = classical_channel(b)
         for rho in QUBIT_BASIS_STATES:
             gap = frob(apply(readout, rho) - apply(gamma, apply(uni, rho)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,7 +63,7 @@ def as_label(label) -> Label:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Povm:
     """An outcome-labeled observable on C^dim.
 
@@ -74,15 +74,16 @@ class Povm:
     structurally broken input (shape mismatch, duplicate or ragged labels);
     it does not check positivity or normalization, which is what
     :func:`validate` is for, so deliberately invalid observables can be
-    built and probed.
+    built and probed.  The pairs are not kept, so the fields are exactly
+    what an instance holds, and printers that walk them can show it.
     """
 
     dim: int
-    outcomes: InitVar[Iterable[tuple]]
-    labels: tuple[Label, ...] = field(init=False)
-    effects: np.ndarray = field(init=False)
+    labels: tuple[Label, ...]
+    effects: np.ndarray
 
-    def __post_init__(self, outcomes):
+    def __init__(self, dim: int, outcomes: Iterable[tuple]):
+        object.__setattr__(self, "dim", dim)
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         pairs = [(as_label(lbl), eff) for lbl, eff in outcomes]

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqmeas.channels import (
@@ -689,8 +689,28 @@ def _read(grid, keep, kraus, x):
     return sum(np.conj(k.T) @ sums @ k for k in kraus)
 
 
+def _universal_problem(d, grid):
+    """The universal channel of a random full-rank 3-outcome observable on
+    C^d (three Kraus operators into C^(3d)), read on `grid` keeping axis 0."""
+    rng = np.random.default_rng(d)
+    g = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    grams = g @ np.conj(np.swapaxes(g, 1, 2))
+    vals, vecs = np.linalg.eigh(grams.sum(axis=0))
+    root = (vecs / np.sqrt(vals)) @ np.conj(vecs.T)
+    a = Povm(d, zip(range(3), root @ grams @ root))
+    kraus = universal_channel(a).kraus
+
+    def point():
+        shape = (math.prod(grid), 3 * d, 3 * d)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return grid, (0,), kraus, point
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(marginal_problems())
+@example(_universal_problem(4, (2, 3)))
+@example(_universal_problem(8, (2,)))
 def test_marginals_projection_is_the_orthogonal_projection(problem):
     grid, keep, kraus, point = problem
     # targets read off a point of the grid, so the set is never empty
@@ -713,6 +733,32 @@ def test_marginals_projection_is_the_orthogonal_projection(problem):
     lhs = np.vdot(np.broadcast_to(cset.adjoint(probe), blocks), x)
     rhs = np.vdot(probe.reshape(targets.shape), _read(grid, keep, kraus, x))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def test_off_range_is_the_unreachable_part_of_the_targets():
+    # two Kraus operators C^3 -> C^2: the map reaches at most 4 of the 9
+    # dimensions of the 3 x 3 matrices, so its Gram operator is singular
+    rng = np.random.default_rng(5)
+    kraus = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
+    targets = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    cset = _Marginals((2,), (0,), targets, kraus)
+    off = cset.off_range
+    assert off.shape == (2, 9)
+    assert np.linalg.norm(off) > 0.1 * np.linalg.norm(targets)
+    # the matrix of the map on row-major vec, one column per basis matrix
+    basis = np.eye(4).reshape(4, 2, 2)
+    images = np.stack([_read((1,), (0,), kraus, e[None])[0].ravel() for e in basis], axis=1)
+    # off_range is orthogonal to every image of the map ...
+    assert np.linalg.norm(np.conj(images.T) @ off.T) <= 1e-12
+    # ... and the rest of each target is the image of some block
+    reach = targets.reshape(2, 9) - off
+    coeffs = np.linalg.lstsq(images, reach.T, rcond=None)[0]
+    assert np.linalg.norm(images @ coeffs - reach.T) <= 1e-12
+    # so projecting onto the reachable targets leaves no defect
+    reachable = _Marginals((2,), (0,), reach.reshape(2, 3, 3), kraus)
+    x = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    assert reachable.violation(reachable.project(x)[0]) <= 1e-12
+    assert _Marginals((2,), (0,), targets).off_range == 0.0
 
 
 # ------------------------------------------------------------ certificates

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis.vendor.pretty import pretty
 
 from seqmeas.povm import (
     AXIS_X,
@@ -79,6 +80,14 @@ def test_effects_are_a_read_only_copy():
     assert np.allclose(p.effect(1), EYE / 4)
     with pytest.raises(ValueError, match="read-only"):
         p.effects[0, 0, 0] = 1.0
+
+
+def test_hypothesis_pretty_prints_an_observable():
+    # failure reports print drawn values by walking their dataclass fields
+    text = pretty(qubit_binary(0.5, AXIS_Z))
+    assert text.startswith("Povm(dim=2, labels=((-1,), (1,)), effects=array(")
+    assert "0.75" in text
+    assert pretty(Povm(dim=1, outcomes=[(0, np.eye(1))])).startswith("Povm(dim=1,")
 
 
 def test_empty_observable():
