@@ -64,14 +64,18 @@ def per_call(fn) -> float:
     return statistics.median(batches)
 
 
-def random_joint(rng, d: int):
-    """A random full-rank 2 x 2 joint observable on C^d."""
+def random_joint(rng, d: int, cols: int | None = None):
+    """A random 2 x 2 joint observable on C^d whose effects are Wishart
+    matrices of `cols` columns (2d by default, so full rank), normalized;
+    the four effects span C^d, as they must to sum to the identity, only
+    when 4 cols >= d."""
     import numpy as np
     from seqmeas.povm import Povm
 
+    cols = 2 * d if cols is None else cols
     grams = []
     for _ in range(4):
-        g = rng.normal(size=(d, 2 * d)) + 1j * rng.normal(size=(d, 2 * d))
+        g = rng.normal(size=(d, cols)) + 1j * rng.normal(size=(d, cols))
         grams.append(g @ g.conj().T)
     vals, vecs = np.linalg.eigh(sum(grams))
     root = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T

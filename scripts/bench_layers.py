@@ -20,9 +20,12 @@ Luders channel of A:
   M, `verify_sequential` of B' against the other marginal B,
   `implemented_joint` of B', and `sequential_scheme` of A and M;
 - `feasibility`: `conjugate_is_b_channel` of B on the universal channel
-  and on the Luders channel, and `find_joint_observable` of A and B, each
-  with a `.sweeps` row next to its time: the solver sweeps of one call,
-  which do not depend on the machine.
+  and on the Luders channel, and `find_joint_observable` of A and B; and,
+  at d = 3 and 8, the same universal-channel test and joint search on
+  the marginals of a low-rank 2 x 2 joint (Wishart effects of ceil(d / 4)
+  columns, rank one at d = 3), whose rank-deficient targets pin every
+  solve to a face of the cone.  Each has a `.sweeps` row next to its
+  time: the solver sweeps of one call, which do not depend on the machine.
 
 Timing and output follow `bench_cli.py`: each figure is the median CPU
 time of one call over 15 batches, the results go into column NAME and
@@ -40,6 +43,7 @@ import sys
 from bench_cli import ROOT, machine, per_call, random_joint, write_column
 
 DIMS = (2, 8)
+PINNED_DIMS = (3, 8)
 
 
 def measure() -> dict:
@@ -105,6 +109,16 @@ def measure() -> dict:
         solved(f"feasibility.conjugate_luders.d{d}",
                lambda: feasibility.conjugate_is_b_channel(lud, b))
         solved(f"feasibility.find_joint.d{d}", lambda: feasibility.find_joint_observable(a, b))
+
+    for d in PINNED_DIMS:
+        # ceil(d / 4) columns: the least rank at which four effects can
+        # sum to the identity, and marginals of rank below d
+        a, b = marginals(random_joint(np.random.default_rng(d), d, cols=-(-d // 4)))
+        uni = sequential.universal_channel(a)
+        solved(f"feasibility.conjugate_universal_pinned.d{d}",
+               lambda: feasibility.conjugate_is_b_channel(uni, b))
+        solved(f"feasibility.find_joint_pinned.d{d}",
+               lambda: feasibility.find_joint_observable(a, b))
     return rows
 
 

@@ -93,12 +93,17 @@ def _write_json(path: str, doc) -> None:
         fh.write(text)
 
 
-def _solver_options(args) -> SolverOptions:
-    # argparse has already typed the flags; only their ranges are left
-    tol = DEFAULT_OPTIONS.tol if args.tol is None else args.tol
-    max_iters = DEFAULT_OPTIONS.max_iters if args.max_iters is None else args.max_iters
+def _tolerance(args, default: float) -> float:
+    # argparse has already typed the flag; only its range is left
+    tol = default if args.tol is None else args.tol
     if not 0 <= tol < math.inf:
         raise SchemaError("--tol", f"expected a finite number >= 0, got {tol!r}")
+    return tol
+
+
+def _solver_options(args) -> SolverOptions:
+    tol = _tolerance(args, DEFAULT_OPTIONS.tol)
+    max_iters = DEFAULT_OPTIONS.max_iters if args.max_iters is None else args.max_iters
     if max_iters < 1:
         raise SchemaError("--max-iters", f"expected an integer >= 1, got {max_iters!r}")
     return SolverOptions(tol=tol, max_iters=max_iters)
@@ -164,9 +169,9 @@ def _validate_povm(p: Povm, tol: float) -> tuple[int, str, dict]:
 
 
 def cmd_validate(args) -> int:
+    tol = _tolerance(args, CHECK_TOL)
     doc = _read_json(args.path)
     kind = document_kind(doc)
-    tol = args.tol if args.tol is not None else CHECK_TOL
     if kind == "povm":
         code, message, details = _validate_povm(povm_from_json(doc), tol)
     elif kind == "channel":
@@ -337,9 +342,9 @@ def cmd_conjugate_test(args) -> int:
 
 
 def cmd_nondisturb(args) -> int:
+    tol = _tolerance(args, CHECK_TOL)
     c = channel_from_json(_read_json(args.channel_path))
     b = povm_from_json(_read_json(args.b_path))
-    tol = args.tol if args.tol is not None else CHECK_TOL
     quiet = nondisturbing(c, b, tol)
     print(f"nondisturbing: {quiet}")
     _report(args, "nondisturb",

@@ -282,83 +282,58 @@ class _Marginals:
         return float(np.linalg.norm(self._defect(x)))
 
 
-def _kernel_cols(ms: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """Orthonormal bases of the kernels, cut at `RANK_TOL` relative, of
-    stacked Hermitian matrices, each with the summed magnitude of the
-    eigenvalues it cuts."""
-    w, v = np.linalg.eigh((ms + np.conj(np.swapaxes(ms, -1, -2))) / 2)
-    small = np.abs(w) <= RANK_TOL * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
-    return [(vi[:, k], float(np.abs(wi[k]).sum())) for wi, vi, k in zip(w, v, small)]
-
-
-def _complement_projector(cols: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
-    """Projector onto the orthogonal complement of the given column span,
-    and the smallest squared singular value of the columns it keeps."""
-    if not cols.any():
-        return np.eye(dim, dtype=complex), math.inf
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    kept = s > RANK_RCOND * s[0]
-    u = u[:, kept]
-    return np.eye(dim, dtype=complex) - u @ dagger(u), float(s[kept][-1] ** 2)
-
-
 def _support_pins(sets: Sequence[_Marginals], dim: int) -> tuple[np.ndarray | None, float]:
     """Projectors onto the supports the constraints force on each block.
 
     Every block, read through a family's map, sits below each target it
     sums into, so it must vanish on the Kraus image of that target's
-    kernel.  The projectors are None when no block is pinned.
+    kernel.  Each family's kernels come from one `eigh` of its targets:
+    the eigenvectors whose eigenvalues fall within `RANK_TOL` relative of
+    zero, with every other column zeroed and the columns no target uses
+    dropped.  A map reads them as stacked Kraus images K_k v.  Lifted onto
+    the grid (`_Marginals.lift`) and joined, they give each cell the
+    columns C of all targets it sums into, and one batched SVD gives
+    every pin P = 1 - U U^dag over the left singular vectors U above
+    `RANK_RCOND` relative.  The projectors are None when no target has a
+    kernel.
 
     Also returns the reach: how far, in residual, a true solution x may
     lie from the face.  The rank tolerance counts eigenvalues up to
     `cut` as kernel, so a solution may weigh a cell's kernel images
-    C (columns) with tr(C C^dag x) <= cut, hence tr(Q x Q) <= q = cut /
+    C with tr(C C^dag x) <= cut, hence tr(Q x Q) <= q = cut /
     s_min(C)^2 for the projector Q = 1 - P.  The part x - P x P off the
     face then has squared norm at most 2 tr(x) q + q^2, where tr(x) is
     at most the trace of any identity-map target x sums into, and L
     scales it by at most |L|.
     """
-    if len({s.targets.shape[1:] for s in sets}) == 1:
-        # one eigh call for every target: a second call costs about 20 us
-        # of a 360 us one-sweep qubit solve
-        flat = iter(_kernel_cols(np.concatenate([s.targets for s in sets])))
-        kernels = [[next(flat) for _ in s.targets] for s in sets]
-    else:
-        kernels = [_kernel_cols(s.targets) for s in sets]
-    if not any(v.shape[1] for kerns in kernels for v, _ in kerns):
+    spectra = []
+    for s in sets:
+        w, v = np.linalg.eigh((s.targets + dagger(s.targets)) / 2)
+        mag = np.abs(w)
+        kernel = mag <= RANK_TOL * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
+        spectra.append((mag, v, kernel))
+    if not any(kernel.any() for _, _, kernel in spectra):
         return None, 0.0
-    images = [
-        kerns if s.kraus is None
-        else [(np.concatenate(s.kraus @ v, axis=1), cut) for v, cut in kerns]
-        for s, kerns in zip(sets, kernels)
-    ]
-    traces = [
-        (s, np.trace(s.targets, axis1=1, axis2=2).real) for s in sets if s.kraus is None
-    ]
     grid = sets[0].grid
-
-    def target_of(s: _Marginals, cell: tuple[int, ...]) -> int:
-        pos = 0
-        for i in s.keep:
-            pos = pos * grid[i] + cell[i]
-        return pos
-
-    pins = []
-    drift = 0.0
-    for cell in itertools.product(*(range(n) for n in grid)):
-        cols, cut = [], 0.0
-        for s, kerns in zip(sets, images):
-            v, c = kerns[target_of(s, cell)]
-            cols.append(v)
-            cut += c
-        pin, floor = _complement_projector(np.hstack(cols), dim)
-        pins.append(pin)
-        if cut > 0.0:
-            q = cut / floor
-            trace = min(tr[target_of(s, cell)] for s, tr in traces)
-            drift += q * (2.0 * trace + q)
+    cols, cut, trace = [], np.zeros(grid), np.full(grid, math.inf)
+    for s, (mag, v, kernel) in zip(sets, spectra):
+        used = kernel.any(axis=0)
+        c = v[..., used] * kernel[:, None, used]
+        if s.kraus is None:
+            tr = np.trace(s.targets, axis1=1, axis2=2).real
+            np.minimum(trace, tr.reshape(s.lift), out=trace)
+        else:
+            c = (s.kraus @ c[:, None]).swapaxes(1, 2).reshape(len(c), dim, -1)
+        cols.append(np.broadcast_to(c.reshape(s.lift + c.shape[1:]), grid + c.shape[1:]))
+        cut += (mag * kernel).sum(axis=-1).reshape(s.lift)
+    joined = np.concatenate(cols, axis=-1)
+    u, sv, _ = np.linalg.svd(joined.reshape((-1,) + joined.shape[-2:]), full_matrices=False)
+    kept = sv > RANK_RCOND * sv[:, :1]
+    u = u * kept[:, None, :]
+    q = cut.ravel() / np.where(kept, sv, math.inf).min(axis=-1) ** 2
+    drift = np.sum(q * (2.0 * trace.ravel() + q))
     gain = sum(s.scale * s.gain for s in sets)
-    return np.stack(pins), math.sqrt(gain * drift)
+    return np.eye(dim) - u @ dagger(u), math.sqrt(gain * drift)
 
 
 # --- solver ---------------------------------------------------------------
@@ -398,7 +373,7 @@ def _certify(sets, zs, pins, reach: float):
     scale = math.sqrt(sum(np.vdot(c.flat_targets, c.flat_targets).real for c in sets))
     if not gap > norm * max(CERTIFICATE_SLACK * scale, reach):
         return None
-    return ys, gap / norm
+    return ys, float(gap / norm)
 
 
 def _solve(
@@ -530,6 +505,9 @@ def recover_b_prime(
     Returns the witness of the conjugate-channel test and raises when
     that test does not come back feasible; the returned observable
     passes `verify_sequential(c, result, b)` at the solver tolerance.
+    A caller already holding a feasible outcome of
+    `conjugate_is_b_channel(c, b)` gets the same observable from
+    `witness_povm(outcome)`, without solving a second time.
     """
     out = conjugate_is_b_channel(c, b, opts)
     if out.status != FEASIBLE:

@@ -269,17 +269,23 @@ def test_selftest_reports_are_deterministic(files, tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--max-iters", "-3"], ["--max-iters", "0"], ["--tol", "nan"], ["--tol=-1e-8"]],
-    ids=["negative-max-iters", "zero-max-iters", "nan-tol", "negative-tol"],
+    [["--max-iters", "-3"], ["--max-iters", "0"], ["--tol", "nan"], ["--tol=-1e-8"],
+     ["--tol", "inf"]],
+    ids=["negative-max-iters", "zero-max-iters", "nan-tol", "negative-tol", "infinite-tol"],
 )
 def test_malformed_solver_settings_are_input_errors(files, capsys, flags):
+    # every --tol flag, the solvers' and the checkers', refuses the same values
     _, write = files
-    args = ["joint", write("a.json", povm_to_json(A08)),
-            write("b.json", povm_to_json(B06)), *flags]
-    assert main(args) == 2
-    captured = capsys.readouterr()
-    assert "input error" in captured.err
-    assert "sweeps" not in captured.out
+    a = write("a.json", povm_to_json(A08))
+    lud = write("lud.json", channel_to_json(luders(A08)))
+    commands = [["joint", a, write("b.json", povm_to_json(B06))]]
+    if flags[0].startswith("--tol"):
+        commands += [["validate", a], ["validate", lud], ["nondisturb", lud, a]]
+    for command in commands:
+        assert main([*command, *flags]) == 2
+        captured = capsys.readouterr()
+        assert "input error" in captured.err
+        assert captured.out == ""
 
 
 def test_reports_digest_the_input_bytes(files, tmp_path, capsys):

@@ -33,7 +33,7 @@ from seqmeas.feasibility import (
     recover_b_prime,
     witness_povm,
 )
-from seqmeas.feasibility import _Marginals
+from seqmeas.feasibility import _Marginals, _support_pins
 from seqmeas.harness import BOUNDARY_MARGIN, GRID_ANGLES, GRID_POINTS
 from seqmeas.linalg import CERTIFICATE_SLACK
 from seqmeas.povm import (
@@ -236,6 +236,7 @@ def test_luders_conjugate_rejects_the_refinement():
     assert out.status == INFEASIBLE
     assert out.reason == "certificate"
     assert out.infeasibility_floor >= 1e-3
+    assert type(out.infeasibility_floor) is float
 
 
 def test_any_conjugate_admits_the_trivial_observable():
@@ -759,6 +760,74 @@ def test_off_range_is_the_unreachable_part_of_the_targets():
     x = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
     assert reachable.violation(reachable.project(x)[0]) <= 1e-12
     assert _Marginals((2,), (0,), targets).off_range == 0.0
+
+
+# ------------------------------------------------------------ support pins
+
+
+def _wishart_targets(rng, d, ranks):
+    """Wishart targets g g^dag of the given ranks on C^d, and for each an
+    orthonormal basis of its kernel as columns."""
+    targets, kernels = [], []
+    for rank in ranks:
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        targets.append(g @ np.conj(g.T))
+        kernels.append(np.linalg.svd(g)[0][:, rank:])
+    return np.array(targets), kernels
+
+
+@st.composite
+def pin_problems(draw, full):
+    """Constraint sets over Wishart targets, each of its own rank below d
+    (or, when `full`, of full rank), the block dimension and, per grid cell,
+    the kernel columns of every target the cell sums into, read through
+    the family's map: either a joint pair on a 2-axis grid at d = 2-4, or
+    the conjugate test of a target family on the universal channel of a
+    random observable."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 4))
+
+    def targets(n):
+        ranks = [2 * d if full else draw(st.integers(1, d - 1)) for _ in range(n)]
+        return _wishart_targets(rng, d, ranks)
+
+    if draw(st.booleans()):
+        grid = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+        (ta, ka), (tb, kb) = targets(grid[0]), targets(grid[1])
+        sets = [_Marginals(grid, (0,), ta), _Marginals(grid, (1,), tb)]
+        return sets, d, [[ka[x], kb[y]] for x in range(grid[0]) for y in range(grid[1])]
+    shape = (4, d, d)
+    a, _ = _wishart_pair(rng.normal(size=shape) + 1j * rng.normal(size=shape), 2, 2)
+    kraus = universal_channel(a).kraus
+    dim = kraus.shape[1]
+    tb, kb = targets(draw(st.integers(2, 3)))
+    grid = (len(tb),)
+    sets = [_Marginals(grid, (), np.eye(dim)[None]), _Marginals(grid, (0,), tb, kraus)]
+    return sets, dim, [[k @ kern for k in kraus] for kern in kb]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(pin_problems(full=False))
+def test_support_pins_cut_out_every_kernel_image(problem):
+    sets, dim, cells = problem
+    pins, reach = _support_pins(sets, dim)
+    assert pins.shape == (len(cells), dim, dim)
+    assert 0.0 <= reach < math.inf
+    for pin, images in zip(pins, cells):
+        cols = np.hstack(images)
+        assert np.linalg.norm(pin - np.conj(pin.T)) <= 1e-12
+        assert np.linalg.norm(pin @ pin - pin) <= 1e-12
+        assert np.linalg.norm(pin @ cols, axis=0).max() <= 1e-12
+        assert abs(np.trace(pin) - (dim - np.linalg.matrix_rank(cols))) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(pin_problems(full=True))
+def test_full_rank_targets_pin_nothing(problem):
+    sets, dim, _ = problem
+    pins, reach = _support_pins(sets, dim)
+    assert pins is None
+    assert reach == 0.0
 
 
 # ------------------------------------------------------------ certificates
