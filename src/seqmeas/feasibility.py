@@ -44,6 +44,9 @@ projects onto the face {x >= 0, x = P x P} these supports cut out, as
 the PSD projection of P x P.  The supports are necessary conditions
 computed from the inputs alone, so they never change the set being
 searched; they only keep the iteration away from the tangent directions.
+Most solves end in their first sweep, which needs no face, so the face
+is built only when the first sweep falls short of `tol`, and that
+sweep's cone step is then redone on it.
 
 An infeasible verdict rests on a Farkas certificate: multipliers y, one
 matrix per constraint, whose dual operator L*y is positive on the face
@@ -66,8 +69,11 @@ residual.  A run that stalls without a certificate is undecided.  Only
 are constants of `SolverOptions`, and other tolerances come from `linalg`.
 
 The cone projection runs last in every sweep, so each logged iterate is
-exactly positive and on the face, and the residual is purely the affine
-defect.  An extrapolated input may leave the cone, but only cone
+exactly positive and the residual is purely the affine defect.  A solve
+decided in its first sweep never builds the face: its witness is
+positive and within `tol`, but may lie off the face.  Every later
+iterate, and the best point of every outcome that is not feasible,
+lies on it.  An extrapolated input may leave the cone, but only cone
 outputs are ever logged or returned.
 """
 
@@ -305,6 +311,9 @@ def _support_pins(sets: Sequence[_Marginals], dim: int) -> tuple[np.ndarray | No
     face then has squared norm at most 2 tr(x) q + q^2, where tr(x) is
     at most the trace of any identity-map target x sums into, and L
     scales it by at most |L|.
+
+    `_solve` calls this at most once, after a first sweep whose residual
+    falls short of `tol`; a solve decided in its first sweep never does.
     """
     spectra = []
     for s in sets:
@@ -392,11 +401,11 @@ def _solve(
     for cset in sets:
         image = total if cset.kraus is None else _dual(cset.kraus, total)
         gap = float(np.linalg.norm(cset.targets.sum(axis=0) - image))
-        if gap > NECESSARY_TOL * math.sqrt(cset.targets.shape[-1]):
+        if not gap <= NECESSARY_TOL * math.sqrt(cset.targets.shape[-1]):
             raise NecessaryConditionError(
                 f"target sums disagree with the image of the total (defect {gap:.3e})"
             )
-    pins, reach = _support_pins(sets, dim)
+    pins, reach = None, 0.0
     x_in = np.zeros((math.prod(grid), dim, dim), dtype=complex)
     best = math.inf
     best_x = x_in
@@ -418,6 +427,10 @@ def _solve(
             residual_history=tuple(history),
         )
 
+    def cone(affine: np.ndarray) -> tuple[np.ndarray, float]:
+        x = _project_psd(affine if pins is None else _pin(pins, affine))
+        return x, math.sqrt(sum(cset.violation(x) ** 2 for cset in sets))
+
     stall = 0
     last = math.inf
     # Anderson memory, as real vectors: the differences of successive
@@ -426,12 +439,17 @@ def _solve(
     d_outs: deque[np.ndarray] = deque(maxlen=ANDERSON_MEMORY)
     d_steps: deque[np.ndarray] = deque(maxlen=ANDERSON_MEMORY)
     for sweep in range(1, opts.max_iters + 1):
-        x, zs = x_in, []
+        affine, zs = x_in, []
         for cset in sets:
-            x, z = cset.project(x)
+            affine, z = cset.project(affine)
             zs.append(z)
-        x = _project_psd(x if pins is None else _pin(pins, x))
-        res = math.sqrt(sum(cset.violation(x) ** 2 for cset in sets))
+        x, res = cone(affine)
+        if sweep == 1 and not res <= opts.tol:
+            # a first sweep that falls short builds the face and redoes
+            # its cone step on it; the multipliers zs stay as they are
+            pins, reach = _support_pins(sets, dim)
+            if pins is not None:
+                x, res = cone(affine)
         if res < best - opts.stall_delta:
             stall = 0
         else:

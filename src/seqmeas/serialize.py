@@ -1,13 +1,15 @@
 """JSON wire formats for observables, channels, dilations and solver outcomes.
 
 Matrices are nested arrays of [re, im] pairs in row-major order, so the
-files stay language-neutral.  Readers validate structure eagerly and report
-the JSON-pointer-style path of the first offending element; semantic checks
+files stay language-neutral.  Readers validate structure eagerly, refuse
+matrix entries that are not finite numbers, and report the
+JSON-pointer-style path of the first offending element; semantic checks
 (positivity, normalization, trace preservation) stay with the owning types.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 import numpy as np
@@ -52,9 +54,12 @@ def _as_number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(obj).__name__}")
     try:
-        return float(obj)
+        value = float(obj)
     except OverflowError:
         raise SchemaError(path, "integer too large for a float") from None
+    if not math.isfinite(value):
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
+    return value
 
 
 def _as_list(obj: Any, path: str) -> list:
@@ -111,13 +116,16 @@ def matrix_from_json(obj: Any, path: str = "") -> np.ndarray:
     if width == 0:
         raise SchemaError(path, "matrix has no columns")
     try:
-        return np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
+        m = np.array(rows, dtype=np.float64)
     except OverflowError:
-        # only now walk the entries, to name the one that overflowed
+        m = None
+    if m is None or not np.isfinite(m).all():
+        # only now walk the entries, to name the one that overflowed or
+        # is NaN or infinite (Python's json reads NaN and Infinity)
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
                 _check_pair(entry, f"{path}/{i}/{j}")
-        raise
+    return m.view(np.complex128)[..., 0]
 
 
 def _label_from_json(obj: Any, path: str) -> Label:

@@ -111,6 +111,18 @@ def test_validate_refuses_an_entry_too_large_for_a_float(files, capsys):
     assert "/outcomes/1/matrix/0/1/0" in capsys.readouterr().err
 
 
+def test_a_nan_entry_is_an_input_error(files, capsys):
+    _, write = files
+    doc = povm_to_json(A08)
+    doc["outcomes"][0]["matrix"][0][1][0] = float("nan")
+    a, b = write("a.json", doc), write("b.json", povm_to_json(B06))
+    for argv in (["validate", a], ["joint", a, b]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "/outcomes/0/matrix/0/1/0" in err
+        assert "finite" in err
+
+
 def test_joint_writes_a_witness_that_revalidates(files, capsys):
     tmp, write = files
     a = write("a.json", povm_to_json(A08))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from seqmeas import feasibility
 from seqmeas.channels import (
     KrausChannel,
     classical_channel,
@@ -431,6 +432,18 @@ def test_targets_must_sum_to_the_image_of_the_total(question, refuted):
         assert question().status == FEASIBLE
 
 
+def test_a_nan_target_fails_the_necessary_check():
+    # a NaN defect compares False with every bound, so the check must ask
+    # whether the defect is small enough, not whether it is too large
+    effects = A08.effects.copy()
+    effects[0, 0, 1] = math.nan
+    spoiled = Povm(2, zip(A08.labels, effects))
+    with pytest.raises(NecessaryConditionError, match="sums"):
+        find_joint_observable(spoiled, B06)
+    with pytest.raises(NecessaryConditionError, match="sums"):
+        conjugate_is_b_channel(luders(A08), spoiled)
+
+
 @pytest.mark.parametrize("case", range(5))
 def test_randomized_compatible_pairs_yield_valid_witnesses(case):
     rng = np.random.default_rng(1000 + case)
@@ -828,6 +841,95 @@ def test_full_rank_targets_pin_nothing(problem):
     pins, reach = _support_pins(sets, dim)
     assert pins is None
     assert reach == 0.0
+
+
+# ------------------------------------------------------------ lazy face
+
+
+def _count_pins(monkeypatch) -> list:
+    """Wrap `_support_pins` so that each call appends its arguments to the
+    returned list."""
+    calls = []
+    pins = feasibility._support_pins
+
+    def counted(*args):
+        calls.append(args)
+        return pins(*args)
+
+    monkeypatch.setattr(feasibility, "_support_pins", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "question",
+    [
+        lambda: find_joint_observable(qubit_binary(0.5, AXIS_Z), qubit_binary(0.5, AXIS_X)),
+        lambda: conjugate_is_b_channel(
+            luders(qubit_binary(0.5, AXIS_Z)), qubit_binary(0.6, AXIS_Z)
+        ),
+    ],
+    ids=["joint", "conjugate"],
+)
+def test_a_solve_decided_in_its_first_sweep_builds_no_face(question, monkeypatch):
+    calls = _count_pins(monkeypatch)
+    out = question()
+    assert (out.status, out.iterations) == (FEASIBLE, 1)
+    assert calls == []
+
+
+def test_a_solve_past_its_first_sweep_builds_the_face_once(monkeypatch):
+    calls = _count_pins(monkeypatch)
+    sharp = qubit_binary(1.0, AXIS_Z)
+    out = find_joint_observable(sharp, sharp)
+    assert (out.status, out.iterations, len(calls)) == (FEASIBLE, 3, 1)
+
+
+def test_a_redone_first_sweep_certifies_on_the_face(monkeypatch):
+    # the first sweep falls short, so its cone step is redone on the
+    # face: the certificate at sweep 2 proves the floor it proves when
+    # the face is built before the first sweep
+    calls = _count_pins(monkeypatch)
+    out = conjugate_is_b_channel(luders(A08), C08)
+    assert (out.status, out.reason, out.iterations) == (INFEASIBLE, "certificate", 2)
+    assert len(calls) == 1
+    assert out.infeasibility_floor == pytest.approx(0.10264224024639092, rel=1e-12)
+    assert out.infeasibility_floor <= out.residual
+
+
+def _check_one_face(question):
+    """Ask `question` with `_support_pins` counted: a solve decided in
+    its first sweep builds no face and any other builds it once; the
+    best point of an outcome that is not feasible lies on the face, so
+    a certificate's floor holds below its residual."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_pins(mp)
+        out = question()
+    assert len(calls) == (0 if (out.status, out.iterations) == (FEASIBLE, 1) else 1)
+    if out.status != FEASIBLE and out.infeasibility_floor is not None:
+        assert out.infeasibility_floor <= out.residual
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pin_problems(full=False), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_a_solve_builds_the_face_at_most_once(problem, d, seed):
+    # the pin problem with each family rescaled by S^(-1/2) on both sides
+    # to sum to the identity, which keeps the ranks of its targets, and
+    # the joint search and universal-channel test of a compatible pair
+    # of rank-one joint blocks
+    sets, dim, _ = problem
+    families = []
+    for cset in sets:
+        w, v = np.linalg.eigh(cset.targets.sum(axis=0))
+        assume(w[0] > 1e-6 * w[-1])
+        isq = (v * w**-0.5) @ np.conj(v.T)
+        families.append((cset.keep, isq @ cset.targets @ isq, cset.kraus))
+    _check_one_face(
+        lambda: feasibility._solve(sets[0].grid, dim, families, DEFAULT_OPTIONS, None)
+    )
+    rng = np.random.default_rng(seed)
+    a, b = _wishart_pair(rng.normal(size=(4, d, 1)) + 1j * rng.normal(size=(4, d, 1)), 2, 2)
+    _check_one_face(lambda: find_joint_observable(a, b))
+    _check_one_face(lambda: conjugate_is_b_channel(universal_channel(a), b))
 
 
 # ------------------------------------------------------------ certificates

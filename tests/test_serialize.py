@@ -74,6 +74,15 @@ def test_matrix_schema_errors_carry_paths(doc, path_part):
     assert err.value.path.startswith(path_part)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_matrix_reader_refuses_non_finite_entries(literal):
+    # Python's json reads these non-standard literals as floats
+    doc = json.loads(f"[[[0, 0], [1, 0]], [[1, 0], [0, {literal}]]]")
+    with pytest.raises(SchemaError, match="finite") as err:
+        matrix_from_json(doc, "/m")
+    assert err.value.path == "/m/1/1/1"
+
+
 def test_matrix_reader_accepts_numpy_scalars():
     doc = [[[np.float64(0.5), np.float64(-1.0)], [1, np.float64(2.0)]]]
     back = matrix_from_json(doc)
