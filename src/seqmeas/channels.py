@@ -49,8 +49,8 @@ class KrausChannel:
     ``kraus``, matrices stacking to shape (n, dim_out, dim_in), is stored
     as a read-only complex copy of that array.  ``partition`` optionally
     assigns every Kraus index to exactly one outcome label, and a label may
-    own none.  Construction checks shapes and partition structure, not
-    trace preservation; see :func:`is_trace_preserving`.
+    own none.  Construction checks shapes, finite entries and partition
+    structure, not trace preservation; see :func:`is_trace_preserving`.
     """
 
     dim_in: int
@@ -67,6 +67,8 @@ class KrausChannel:
                 f"Kraus operator shape {ops.shape[1:]}, expected "
                 f"{(self.dim_out, self.dim_in)}"
             )
+        if not np.isfinite(ops).all():
+            raise ValueError("Kraus operators must have finite entries")
         ops.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
         if self.partition is not None:

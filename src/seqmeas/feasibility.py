@@ -138,7 +138,9 @@ class SolverOptions:
     It stops undecided when the best residual has not improved by more
     than `stall_delta` for `stall_window` consecutive sweeps, or when it
     runs out of `max_iters`.  The last three are fixed class constants,
-    readable on every instance.
+    readable on every instance.  Construction refuses a `tol` that is
+    negative, infinite or NaN and a `max_iters` below 1, with which a run
+    would report a residual it never reached.
     """
 
     tol: float = CHECK_TOL
@@ -146,6 +148,12 @@ class SolverOptions:
     stall_window: ClassVar[int] = 500
     stall_delta: ClassVar[float] = 1e-12
     infeasible_ratio: ClassVar[float] = 10.0
+
+    def __post_init__(self):
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
 
 
 DEFAULT_OPTIONS = SolverOptions()

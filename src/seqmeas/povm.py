@@ -71,10 +71,10 @@ class Povm:
     lexicographically, and ``effects``, one read-only complex array of
     shape (n, dim, dim) in label order, copied from the input.
     Construction normalizes labels and array dtypes and rejects
-    structurally broken input (shape mismatch, duplicate or ragged labels);
-    it does not check positivity or normalization, which is what
-    :func:`validate` is for, so deliberately invalid observables can be
-    built and probed.  The pairs are not kept, so the fields are exactly
+    structurally broken input (shape mismatch, duplicate or ragged labels,
+    a NaN or infinite entry); it does not check positivity or
+    normalization, which is what :func:`validate` is for, so deliberately
+    invalid observables can be built and probed.  The pairs are not kept, so the fields are exactly
     what an instance holds, and printers that walk them can show it.
     """
 
@@ -101,6 +101,8 @@ class Povm:
             raise ValueError("labels must all have the same number of components")
         effects = np.array([eff for _, eff in pairs], dtype=np.complex128)
         effects = effects.reshape(len(pairs), self.dim, self.dim)
+        if not np.isfinite(effects).all():
+            raise ValueError("effects must have finite entries")
         effects.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "effects", effects)

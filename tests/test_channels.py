@@ -78,6 +78,14 @@ def test_kraus_shape_checked():
         KrausChannel(2, 2, ())
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_kraus_rejected(entry):
+    kraus = luders(qubit_binary(0.8, AXIS_Z)).kraus.copy()
+    kraus[1, 1, 0] = entry
+    with pytest.raises(ValueError, match="finite"):
+        KrausChannel(2, 2, kraus, {(-1,): (0,), (1,): (1,)})
+
+
 def test_stacked_kraus_array_builds_the_same_channel():
     ks = tuple(random_channel(3, 2, 3).kraus)
     from_tuple = KrausChannel(3, 2, ks, {(0,): (0, 2), (1,): (1,)})

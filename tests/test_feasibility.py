@@ -434,14 +434,18 @@ def test_targets_must_sum_to_the_image_of_the_total(question, refuted):
 
 def test_a_nan_target_fails_the_necessary_check():
     # a NaN defect compares False with every bound, so the check must ask
-    # whether the defect is small enough, not whether it is too large
-    effects = A08.effects.copy()
-    effects[0, 0, 1] = math.nan
-    spoiled = Povm(2, zip(A08.labels, effects))
-    with pytest.raises(NecessaryConditionError, match="sums"):
-        find_joint_observable(spoiled, B06)
-    with pytest.raises(NecessaryConditionError, match="sums"):
-        conjugate_is_b_channel(luders(A08), spoiled)
+    # whether the defect is small enough, not whether it is too large;
+    # `Povm` refuses NaN effects, so the families go to `_solve` directly
+    spoiled = A08.effects.copy()
+    spoiled[0, 0, 1] = math.nan
+    eye = np.eye(2, dtype=complex)
+    # the families of the joint search and of the conjugate test
+    for grid, families in (
+        ((2, 2), [((0,), spoiled, None), ((1,), B06.effects, None)]),
+        ((2,), [((), eye[None], None), ((0,), spoiled, luders(A08).kraus)]),
+    ):
+        with pytest.raises(NecessaryConditionError, match="sums"):
+            feasibility._solve(grid, 2, families, DEFAULT_OPTIONS, None)
 
 
 @pytest.mark.parametrize("case", range(5))
@@ -612,6 +616,19 @@ def test_default_options():
     assert DEFAULT_OPTIONS.infeasible_ratio == 10.0
     with pytest.raises(TypeError):
         SolverOptions(stall_window=1)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf}, {"max_iters": 0}, {"max_iters": -3}],
+    ids=["nan-tol", "negative-tol", "infinite-tol", "zero-max-iters", "negative-max-iters"],
+)
+def test_options_refuse_settings_no_run_can_meet(setting):
+    # accepted, a NaN or negative tol ran out the budget with a residual
+    # of 0.0, and max_iters=0 reported a residual of inf
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        SolverOptions(**setting)
+    assert SolverOptions(tol=0.0, max_iters=1).tol == 0.0
 
 
 # ------------------------------------------------- recovery consistency

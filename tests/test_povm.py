@@ -63,6 +63,16 @@ def test_wrong_shape_rejected():
         Povm(3, (((0,), EYE),))
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_effects_rejected(entry):
+    # NaN passes every `norm > tol` test downstream, so `luders` and
+    # `naimark_minimal` would return wrong objects without raising
+    effects = qubit_binary(0.8, AXIS_Z).effects.copy()
+    effects[0, 0, 1] = entry
+    with pytest.raises(ValueError, match="finite"):
+        Povm(2, zip([(-1,), (1,)], effects))
+
+
 def test_effects_are_one_array_in_label_order():
     c = four_outcome_refinement(0.8)
     assert c.effects.shape == (4, 2, 2)
