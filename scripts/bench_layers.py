@@ -2,14 +2,16 @@
 
     python scripts/bench_layers.py [--against REV] [--out BENCH_layers.json]
 
-Exports REV (default HEAD) with `git archive` into a temporary directory,
-copies this script into it, and runs RUNS rounds; each round runs one
-`--single` process on each tree, REV's and the working tree, alternating
-which goes first, with BLAS pinned to one thread so that CPU time counts
-no idle BLAS threads.  One run times, at input dimension d = 2 and 8, on
-a random full-rank 2 x 2 joint observable M on C^d, on the universal
-channel of its first marginal A (two Kraus operators into the dilation
-space) and on the Luders channel of A:
+Exports REV (default HEAD) with `git archive` into one temporary
+directory and copies the working tree's `src/` into another, so that the
+two trees sit alike; copies this script into both, and runs RUNS rounds;
+each round runs one `--single` process on each tree, REV's and the
+working tree's, alternating which goes first, with BLAS pinned to one
+thread so that CPU time counts no idle BLAS threads.  One run times, at
+input dimension d = 2 and 8, on a random full-rank 2 x 2 joint
+observable M on C^d, on the universal channel of its first marginal A
+(two Kraus operators into the dilation space) and on the Luders channel
+of A:
 
 - `povm`: building M from its (label, effect) pairs, its `marginal` on
   axis 0, `validate`, and `post_process` with a 4 x 3 stochastic kernel;
@@ -34,7 +36,7 @@ space) and on the Luders channel of A:
   `four_outcome_refinement(0.8)` on the Luders channel of the strength-0.8
   binary along z (certified at sweep 2), and the joint search of
   strength-0.95 binaries along z and at pi / 8 from it (certified at
-  sweep 16, the longest solve of the Busch grid).  Each has a `.sweeps`
+  sweep 4, as are the longest solves of the Busch grid).  Each has a `.sweeps`
   row next to its time: the solver sweeps of one call, which do not
   depend on the machine;
 - `cli`: each command (`validate`, `joint`, `universal`, `conjugate-test`,
@@ -332,11 +334,15 @@ def main() -> int:
 
     commit = git("rev-parse", "--verify", f"{args.against}^{{commit}}").decode().strip()
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="bench-against-") as parent:
+    with tempfile.TemporaryDirectory(prefix="bench-against-") as parent, \
+            tempfile.TemporaryDirectory(prefix="bench-against-") as change:
         subprocess.run(["tar", "-x", "-C", parent], input=git("archive", commit), check=True)
-        os.makedirs(os.path.join(parent, "scripts"), exist_ok=True)
-        shutil.copy(__file__, os.path.join(parent, "scripts", "bench_layers.py"))
-        trees = {"parent": parent, "change": ROOT}
+        shutil.copytree(os.path.join(ROOT, "src"), os.path.join(change, "src"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        trees = {"parent": parent, "change": change}
+        for tree in trees.values():
+            os.makedirs(os.path.join(tree, "scripts"), exist_ok=True)
+            shutil.copy(__file__, os.path.join(tree, "scripts", "bench_layers.py"))
         for i in range(RUNS):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs[side].append(single(trees[side]))

@@ -122,8 +122,8 @@ def main() -> int:
     lines: list[str] = []
     solve = feasibility._solve
 
-    def logged(grid, dim, families, opts, labels):
-        out = solve(grid, dim, families, opts, labels)
+    def logged(grid, dim, *rest):
+        out = solve(grid, dim, *rest)
         lines.append(" ".join((
             _caller(), repr(grid), str(dim), out.status, out.reason, str(out.iterations),
             repr(out.residual), repr(out.infeasibility_floor),

@@ -25,7 +25,11 @@ The solver runs alternating projections: one sweep T(x) projects
 through every affine set in turn and then onto the cone, and its
 iterates converge to a point of the intersection whenever one exists.
 A feasibility question needs any such point, not the nearest one, so no
-Dykstra correction is kept.  Plain sweeps creep towards a boundary point
+Dykstra correction is kept.  The channel questions start from zero; the
+joint search starts from the Jordan product of its observables, which
+already meets every marginal and is the joint itself for commuting
+ones, so a compatible pair near that product ends in few sweeps (see
+`find_joint_observable`).  Plain sweeps creep towards a boundary point
 of the cone, by a fixed factor per sweep or sublinearly on degenerate
 faces, so each sweep's input is extrapolated by type-II Anderson
 acceleration (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; Zhang,
@@ -394,10 +398,11 @@ def _certify(sets, zs, pins, reach: float):
 
 
 def _solve(
-    grid: tuple[int, ...], dim: int, families, opts: SolverOptions, labels
+    grid: tuple[int, ...], dim: int, families, opts: SolverOptions, labels, start=None
 ) -> FeasibilityOutcome:
     """Search for PSD `dim`-blocks on `grid` meeting every `(keep, targets,
-    kraus)` family of marginal constraints (see `_Marginals`).
+    kraus)` family of marginal constraints (see `_Marginals`), from the
+    first sweep's input `start` (zero blocks by default).
 
     Raises `NecessaryConditionError` unless every family's targets sum to
     its map's image of the total the first identity-map family fixes (to
@@ -414,7 +419,7 @@ def _solve(
                 f"target sums disagree with the image of the total (defect {gap:.3e})"
             )
     pins, reach = None, 0.0
-    x_in = np.zeros((math.prod(grid), dim, dim), dtype=complex)
+    x_in = np.zeros((math.prod(grid), dim, dim), dtype=complex) if start is None else start
     best = math.inf
     best_x = x_in
     history: list[float] = []
@@ -553,6 +558,12 @@ def find_joint_observable(
     accepted at small dimension for triple-wise tests.  A feasible
     witness is the list of joint effects in lexicographic product-label
     order (see `witness_povm`).
+
+    The search starts from the chained Jordan product A o (B o C), with
+    X o Y = (X Y + Y X) / 2: being bilinear with I o X = X, it meets
+    every marginal exactly, it is the joint itself when the observables
+    commute or when two unbiased qubit binaries pass `busch_criterion`
+    (it is positive exactly then), and it costs no eigendecomposition.
     """
     if len(observables) < 2:
         raise ValueError("need at least two observables")
@@ -568,7 +579,11 @@ def find_joint_observable(
         sum(combo, ()) for combo in itertools.product(*(o.labels for o in observables))
     )
     families = [((i,), o.effects, None) for i, o in enumerate(observables)]
-    return _solve(grid, dim, families, opts, labels)
+    start = observables[-1].effects
+    for o in reversed(observables[:-1]):
+        prod = o.effects[:, None] @ start
+        start = ((prod + dagger(prod)) / 2).reshape(-1, dim, dim)
+    return _solve(grid, dim, families, opts, labels, start)
 
 
 def witness_povm(outcome: FeasibilityOutcome) -> Povm:

@@ -36,6 +36,13 @@ def test_criterion_1_busch_grid_agreement(report):
     _line(1, "exact criterion vs solver on the strength grid", ok)
 
 
+def test_busch_grid_solves_end_within_four_sweeps(report):
+    # the joint search starts from the Jordan product of the pair, which
+    # for unbiased qubit binaries is positive exactly when busch_value <= 1
+    d = report["busch-grid"].details
+    assert d["max_sweeps"] == {"feasible": 1, "infeasible": 4}
+
+
 def test_criterion_2_luders_implementation_boundary(report):
     c = report["luders-implementation"]
     ok = (

@@ -144,8 +144,10 @@ def test_joint_reports_incompatibility_with_exit_one(files, capsys):
 
 def test_joint_exhausted_budget_exits_three(files):
     _, write = files
+    # a compatible pair that needs 14 sweeps
     a = write("a.json", povm_to_json(A08))
-    assert main(["joint", a, a, "--max-iters", "3"]) == 3
+    c = write("c.json", povm_to_json(four_outcome_refinement(0.8)))
+    assert main(["joint", a, c, "--max-iters", "3"]) == 3
 
 
 def test_exact_qubit_criterion_paths(files, capsys):

@@ -321,6 +321,39 @@ def test_boundary_pair_joint_found_in_one_sweep():
     assert effects_close(marginal(w, 1), B06, tol=1e-8)
 
 
+def test_transverse_pair_starts_at_its_closed_form_joint():
+    # the Jordan product of transverse unbiased binaries is the joint
+    out = find_joint_observable(qubit_binary(0.6, AXIS_Z), qubit_binary(0.8, AXIS_X))
+    assert (out.status, out.iterations) == (FEASIBLE, 1)
+    assert effects_close(witness_povm(out), orthogonal_joint_observable(0.6, 0.8), tol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.lists(st.integers(2, 3), min_size=2, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_the_joint_search_starts_on_every_marginal(d, sizes, seed):
+    # independent random observables: the first marginal of an n x 1 joint
+    rng = np.random.default_rng(seed)
+    shapes = [(n, d, d) for n in sizes]
+    observables = [
+        _wishart_pair(rng.normal(size=s) + 1j * rng.normal(size=s), s[0], 1)[0] for s in shapes
+    ]
+    starts = []
+    solve = feasibility._solve
+
+    def spy(grid, dim, families, opts, labels, start=None):
+        starts.append(start)
+        return solve(grid, dim, families, opts, labels, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "_solve", spy)
+        find_joint_observable(*observables, opts=SolverOptions(max_iters=1))
+    blocks = starts[0].reshape(tuple(sizes) + (d, d))
+    for i, o in enumerate(observables):
+        others = tuple(j for j in range(len(sizes)) if j != i)
+        assert np.abs(blocks.sum(axis=others) - o.effects).max() <= 1e-12
+
+
 def test_joint_search_rejects_a_pair_past_the_boundary():
     out = find_joint_observable(A08, B07)
     assert out.status == INFEASIBLE
@@ -336,7 +369,7 @@ def test_every_observable_is_compatible_with_itself():
 def test_sharp_observable_with_itself_pins_the_off_cells():
     sharp = qubit_binary(1.0, AXIS_Z)
     out = find_joint_observable(sharp, sharp)
-    assert out.status == FEASIBLE
+    assert (out.status, out.iterations, out.residual) == (FEASIBLE, 1, 0.0)
     assert out.witness_labels == ((-1, -1), (-1, 1), (1, -1), (1, 1))
     assert np.abs(out.witness[1]).max() <= 1e-7
     assert np.abs(out.witness[2]).max() <= 1e-7
@@ -494,7 +527,7 @@ def test_outcome_bookkeeping_on_a_feasible_run():
 
 
 def test_budget_exhaustion_is_reported_as_undecided():
-    # a compatible pair the solver needs 80 sweeps for
+    # a compatible pair the solver needs 62 sweeps for
     a, b = _rank_one_pair(1)
     out = find_joint_observable(a, b, opts=SolverOptions(max_iters=5))
     assert out.status == UNDECIDED
@@ -884,8 +917,10 @@ def _count_pins(monkeypatch) -> list:
         lambda: conjugate_is_b_channel(
             luders(qubit_binary(0.5, AXIS_Z)), qubit_binary(0.6, AXIS_Z)
         ),
+        # sharp targets have kernels, but the start is already the joint
+        lambda: find_joint_observable(qubit_binary(1.0, AXIS_Z), qubit_binary(1.0, AXIS_Z)),
     ],
-    ids=["joint", "conjugate"],
+    ids=["joint", "conjugate", "sharp-self"],
 )
 def test_a_solve_decided_in_its_first_sweep_builds_no_face(question, monkeypatch):
     calls = _count_pins(monkeypatch)
@@ -896,9 +931,8 @@ def test_a_solve_decided_in_its_first_sweep_builds_no_face(question, monkeypatch
 
 def test_a_solve_past_its_first_sweep_builds_the_face_once(monkeypatch):
     calls = _count_pins(monkeypatch)
-    sharp = qubit_binary(1.0, AXIS_Z)
-    out = find_joint_observable(sharp, sharp)
-    assert (out.status, out.iterations, len(calls)) == (FEASIBLE, 3, 1)
+    out = find_joint_observable(*_rank_one_pair(1))
+    assert (out.status, out.iterations, len(calls)) == (FEASIBLE, 62, 1)
 
 
 def test_a_redone_first_sweep_certifies_on_the_face(monkeypatch):

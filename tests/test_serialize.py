@@ -201,10 +201,9 @@ def test_outcome_json_carries_the_floor_only_when_infeasible():
 def test_outcome_json_says_why_the_solver_stopped():
     good = find_joint_observable(A08, qubit_binary(0.6, AXIS_X))
     bad = find_joint_observable(A08, qubit_binary(0.7, AXIS_X))
-    # a compatible pair at pi/4 that needs 58 sweeps
-    tilted = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+    # a compatible pair, A08 and a refinement of it, that needs 14 sweeps
     short = find_joint_observable(
-        qubit_binary(0.7, AXIS_Z), qubit_binary(0.6, tilted), opts=SolverOptions(max_iters=1)
+        A08, four_outcome_refinement(0.8), opts=SolverOptions(max_iters=1)
     )
     reasons = [through_text(outcome_to_json(o))["reason"] for o in (good, bad, short)]
     assert reasons == ["tol", "certificate", "budget"]
