@@ -1,13 +1,17 @@
 """Command-line surface: JSON artifacts in, verdicts and reports out.
 
-Exit codes: 0 the mathematical claim holds, 1 it fails or is refuted,
-2 malformed input, 3 the solver stopped undecided (out of budget, or
-stalled without an infeasibility certificate).
+Each command returns its checks and the digests of its inputs; `main`
+builds the one `harness.Report` from them, writes it to `--json-out` when
+given, and exits with `Report.exit_code()`: 0 every gating check passes,
+1 one fails (the claim is refuted), 3 one is undecided (the solver ran
+out of budget, or stalled without an infeasibility certificate).
+Malformed input, and an output path that cannot be written, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -61,7 +65,7 @@ from .serialize import (
     povm_to_json,
 )
 
-PASS, FAIL, INPUT_ERROR, UNDECIDED_EXIT = 0, 1, 2, 3
+FAIL, INPUT_ERROR = 1, 2
 
 
 def _read_json(path: str):
@@ -76,21 +80,32 @@ def _read_json(path: str):
 
 def _digests(args, *paths: str) -> dict:
     """sha256 of each input file, taken only when a report will be written."""
-    if not getattr(args, "json_out", None):
+    if not args.json_out:
         return {}
-    digests = {}
-    for path in paths:
-        with open(path, "rb") as fh:
-            digests[path] = hashlib.sha256(fh.read()).hexdigest()
-    return digests
+    return {path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths}
 
 
-def _write_json(path: str, doc) -> None:
+@contextlib.contextmanager
+def _writing(path):
+    """Refuse an output path that cannot be written as malformed input."""
+    try:
+        yield
+    except OSError as exc:
+        raise SchemaError("", f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_json(path, doc) -> None:
     # one-shot dumps runs the C encoder (json.dump and indent do not), and a
     # document that cannot be encoded leaves no truncated file behind
     text = json.dumps(doc) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _out_dir(path: str) -> Path:
+    with _writing(path):
+        Path(path).mkdir(parents=True, exist_ok=True)
+    return Path(path)
 
 
 def _tolerance(args, default: float) -> float:
@@ -109,24 +124,9 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(tol=tol, max_iters=max_iters)
 
 
-# a solver outcome's status as a check status and an exit code
-_VERDICTS = {
-    FEASIBLE: ("pass", PASS),
-    INFEASIBLE: ("fail", FAIL),
-    UNDECIDED: ("undecided", UNDECIDED_EXIT),
-}
-
-
-def _report(args, command: str, checks: list[CheckResult], inputs: dict) -> None:
-    if getattr(args, "json_out", None):
-        rep = Report(
-            version=__version__,
-            command=(command, *_echo_flags(args)),
-            seed=getattr(args, "seed", 0) or 0,
-            checks=tuple(checks),
-            input_digests=inputs,
-        )
-        _write_json(args.json_out, rep.to_json())
+# a predicate's truth or a solver outcome's status as a check status
+_VERDICTS = {True: "pass", False: "fail",
+             FEASIBLE: "pass", INFEASIBLE: "fail", UNDECIDED: "undecided"}
 
 
 def _echo_flags(args) -> tuple[str, ...]:
@@ -140,14 +140,15 @@ def _echo_flags(args) -> tuple[str, ...]:
     return tuple(parts)
 
 
-def _check(name: str, status: str, seconds: float, details: dict) -> CheckResult:
-    return CheckResult(name, status, True, seconds, details)
+def _check(name: str, verdict, seconds: float, details: dict) -> CheckResult:
+    """A gating check whose status is `verdict`, a bool or an outcome status."""
+    return CheckResult(name, _VERDICTS[verdict], True, seconds, details)
 
 
 # ---------------------------------------------------------------- validate
 
 
-def _validate_povm(p: Povm, tol: float) -> tuple[int, str, dict]:
+def _validate_povm(p: Povm, tol: float) -> tuple[bool, str, dict]:
     norm_gap = frob(p.effects.sum(axis=0) - np.eye(p.dim))
     psd_ok = is_psd(p.effects, tol)
     details = {
@@ -158,52 +159,41 @@ def _validate_povm(p: Povm, tol: float) -> tuple[int, str, dict]:
         "effects_positive": psd_ok,
     }
     if not psd_ok:
-        return FAIL, "an effect has a negative eigenvalue", details
+        return False, "an effect has a negative eigenvalue", details
     if norm_gap > tol * math.sqrt(p.dim):
-        return (
-            FAIL,
-            f"normalization fails: effects sum to I + defect of norm {norm_gap:.3e}",
-            details,
-        )
-    return PASS, "valid observable", details
+        message = f"normalization fails: effects sum to I + defect of norm {norm_gap:.3e}"
+        return False, message, details
+    return True, "valid observable", details
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     tol = _tolerance(args, CHECK_TOL)
     doc = _read_json(args.path)
     kind = document_kind(doc)
     if kind == "povm":
-        code, message, details = _validate_povm(povm_from_json(doc), tol)
+        ok, message, details = _validate_povm(povm_from_json(doc), tol)
     elif kind == "channel":
         c = channel_from_json(doc)
-        tp = is_trace_preserving(c, tol)
+        ok = is_trace_preserving(c, tol)
         details = {
             "kind": "channel",
             "dim_in": c.dim_in,
             "dim_out": c.dim_out,
             "kraus_operators": len(c.kraus),
-            "trace_preserving": tp,
+            "trace_preserving": ok,
         }
-        code = PASS if tp else FAIL
-        message = "valid channel" if tp else "Kraus operators do not preserve the trace"
+        message = "valid channel" if ok else "Kraus operators do not preserve the trace"
     else:
         d = dilation_from_json(doc)
         # a dilation dilates V^dag A_hat(x) V by construction, so only the
         # isometry and the sharp observable are on trial
         v = d.isometry
         dilated = Povm(d.dim, zip(d.sharp.labels, dagger(v) @ d.sharp.effects @ v))
-        verified = verify_dilation(dilated, d, tol)
-        details = {"kind": "dilation", "dim_k": d.dim_k, "verified": verified}
-        code = PASS if verified else FAIL
-        message = "valid dilation" if code == PASS else "dilation structure fails"
+        ok = verify_dilation(dilated, d, tol)
+        details = {"kind": "dilation", "dim_k": d.dim_k, "verified": ok}
+        message = "valid dilation" if ok else "dilation structure fails"
     print(f"{args.path}: {message}")
-    _report(
-        args,
-        "validate",
-        [_check(f"validate-{kind}", "pass" if code == PASS else "fail", 0.0, details)],
-        _digests(args, args.path),
-    )
-    return code
+    return [_check(f"validate-{kind}", ok, 0.0, details)], _digests(args, args.path)
 
 
 # ------------------------------------------------------------------- joint
@@ -227,7 +217,7 @@ def _unbiased_qubit_binary(p: Povm):
     return min(t, 1.0), v / t
 
 
-def cmd_joint(args) -> int:
+def cmd_joint(args):
     observables = [povm_from_json(_read_json(p)) for p in args.paths]
     opts = _solver_options(args)
     inputs = _digests(args, *args.paths)
@@ -242,11 +232,8 @@ def cmd_joint(args) -> int:
             compatible = value <= 1.0
             verdict = "jointly measurable" if compatible else "not jointly measurable"
             print(f"exact qubit criterion: {value:.6f} (boundary 1) -> {verdict}")
-            _report(args, "joint", [_check(
-                "busch-criterion", "pass" if compatible else "fail", 0.0,
-                {"value": value, "sharpness": [ta, tb], "angle": theta},
-            )], inputs)
-            return PASS if compatible else FAIL
+            return [_check("busch-criterion", compatible, 0.0,
+                           {"value": value, "sharpness": [ta, tb], "angle": theta})], inputs
         print("inputs are not unbiased qubit binaries; falling back to the solver")
     start = time.perf_counter()
     out = find_joint_observable(*observables, opts=opts)
@@ -256,31 +243,27 @@ def cmd_joint(args) -> int:
     if out.status == FEASIBLE and args.witness_out:
         _write_json(args.witness_out, povm_to_json(witness_povm(out)))
         print(f"witness written to {args.witness_out}")
-    status, code = _VERDICTS[out.status]
-    _report(args, "joint", [_check("joint-search", status, seconds,
-                                   outcome_to_json(out) | {"tol": opts.tol})], inputs)
-    return code
+    return [_check("joint-search", out.status, seconds,
+                   outcome_to_json(out) | {"tol": opts.tol})], inputs
 
 
 # --------------------------------------------------------------- universal
 
 
-def cmd_universal(args) -> int:
+def cmd_universal(args):
     a = povm_from_json(_read_json(args.a_path))
     inputs = _digests(args, args.a_path)
     opts = _solver_options(args)
     # one minimal dilation serves the channel and the recovered B'
     mini = naimark_minimal(a)
     uni = _instrument(mini)
-    out_dir = Path(args.out_dir) if args.out_dir else None
+    out_dir = _out_dir(args.out_dir) if args.out_dir else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(str(out_dir / "universal_channel.json"), channel_to_json(uni))
+        _write_json(out_dir / "universal_channel.json", channel_to_json(uni))
     print(f"universal channel: {uni.dim_in} -> {uni.dim_out}, "
           f"{len(uni.kraus)} branches")
-    checks = [_check("universal-channel", "pass", 0.0,
+    checks = [_check("universal-channel", True, 0.0,
                      {"dim_in": uni.dim_in, "dim_out": uni.dim_out})]
-    code = PASS
     if args.b_path:
         b = povm_from_json(_read_json(args.b_path))
         inputs |= _digests(args, args.b_path)
@@ -291,30 +274,24 @@ def cmd_universal(args) -> int:
         if found.status != FEASIBLE:
             print(f"joint search: {found.status} "
                   f"(residual {found.residual:.3e}); no recovery possible")
-            status, code = _VERDICTS[found.status]
-            checks.append(_check("joint-search", status,
+            checks.append(_check("joint-search", found.status,
                                  time.perf_counter() - start, outcome_to_json(found)))
-            _report(args, "universal", checks, inputs)
-            return code
+            return checks, inputs
         b_prime = _modified(mini, a, witness_povm(found))
         verified = verify_sequential(uni, b_prime, b, tol=CHECK_TOL)
         seconds = time.perf_counter() - start
         print(f"recovered observable verifies: {verified}")
         if out_dir:
-            _write_json(str(out_dir / "modified_observable.json"),
-                        povm_to_json(b_prime))
-        checks.append(_check("sequential-recovery",
-                             "pass" if verified else "fail", seconds,
+            _write_json(out_dir / "modified_observable.json", povm_to_json(b_prime))
+        checks.append(_check("sequential-recovery", verified, seconds,
                              {"verified": verified, "tolerance": CHECK_TOL}))
-        code = PASS if verified else FAIL
-    _report(args, "universal", checks, inputs)
-    return code
+    return checks, inputs
 
 
 # ----------------------------------------------------------- conjugate-test
 
 
-def cmd_conjugate_test(args) -> int:
+def cmd_conjugate_test(args):
     c = channel_from_json(_read_json(args.channel_path))
     b = povm_from_json(_read_json(args.b_path))
     inputs = _digests(args, args.channel_path, args.b_path)
@@ -322,8 +299,7 @@ def cmd_conjugate_test(args) -> int:
     start = time.perf_counter()
     out = conjugate_is_b_channel(c, b, opts=opts)
     print(f"conjugate channel test: {out.status} (residual {out.residual:.3e})")
-    status, code = _VERDICTS[out.status]
-    checks = [_check("conjugate-test", status, time.perf_counter() - start,
+    checks = [_check("conjugate-test", out.status, time.perf_counter() - start,
                      outcome_to_json(out))]
     if out.status == FEASIBLE:
         b_prime = witness_povm(out)
@@ -331,66 +307,53 @@ def cmd_conjugate_test(args) -> int:
         print(f"recovered observable verifies: {verified}")
         if args.witness_out:
             _write_json(args.witness_out, povm_to_json(b_prime))
-        checks.append(_check("recovery", "pass" if verified else "fail", 0.0,
-                             {"verified": verified}))
-        code = PASS if verified else FAIL
-    _report(args, "conjugate-test", checks, inputs)
-    return code
+        checks.append(_check("recovery", verified, 0.0, {"verified": verified}))
+    return checks, inputs
 
 
 # --------------------------------------------------------------- the rest
 
 
-def cmd_nondisturb(args) -> int:
+def cmd_nondisturb(args):
     tol = _tolerance(args, CHECK_TOL)
     c = channel_from_json(_read_json(args.channel_path))
     b = povm_from_json(_read_json(args.b_path))
     quiet = nondisturbing(c, b, tol)
     print(f"nondisturbing: {quiet}")
-    _report(args, "nondisturb",
-            [_check("nondisturb", "pass" if quiet else "fail", 0.0, {"tol": tol})],
+    return ([_check("nondisturb", quiet, 0.0, {"tol": tol})],
             _digests(args, args.channel_path, args.b_path))
-    return PASS if quiet else FAIL
 
 
-def cmd_dilate(args) -> int:
+def cmd_dilate(args):
     a = povm_from_json(_read_json(args.path))
+    inputs = _digests(args, args.path)
     d = naimark_canonical(a) if args.canonical else naimark_minimal(a)
     ok = verify_dilation(a, d) and (args.canonical or is_minimal(d))
     print(f"dilation space dimension {d.dim_k} "
           f"({'canonical' if args.canonical else 'minimal'}), verified: {ok}")
     if args.out:
         _write_json(args.out, dilation_to_json(d))
-    _report(args, "dilate",
-            [_check("dilate", "pass" if ok else "fail", 0.0, {"dim_k": d.dim_k})],
-            _digests(args, args.path))
-    return PASS if ok else FAIL
+    return [_check("dilate", ok, 0.0, {"dim_k": d.dim_k})], inputs
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     opts = _solver_options(args)
-    rep = run_checks(only=args.only or None, seed=args.seed,
-                     opts=opts, command=("selftest", *_echo_flags(args)))
+    rep = run_checks(only=args.only or None, seed=args.seed, opts=opts)
     for c in rep.checks:
         gate = "" if c.gating else " (not gating)"
         print(f"{c.name:24s} {c.status:10s} {c.seconds:8.3f}s{gate}")
-    if args.json_out:
-        _write_json(args.json_out, rep.to_json())
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(args.out_dir)
         a = qubit_binary(A_STRENGTH, AXIS_Z)
         mini = naimark_minimal(a)
-        _write_json(str(out_dir / "universal_channel.json"), channel_to_json(_instrument(mini)))
-        _write_json(str(out_dir / "modified_refinement.json"),
+        _write_json(out_dir / "universal_channel.json", channel_to_json(_instrument(mini)))
+        _write_json(out_dir / "modified_refinement.json",
                     povm_to_json(_modified(
                         mini, a, refinement_joint(four_outcome_refinement(A_STRENGTH)))))
         boundary = find_joint_observable(a, qubit_binary(B_STRENGTH, AXIS_X), opts=opts)
-        _write_json(str(out_dir / "boundary_witness.json"),
-                    povm_to_json(witness_povm(boundary)))
-    code = rep.exit_code()
-    print(f"overall: {'pass' if code == PASS else 'fail' if code == FAIL else 'undecided'}")
-    return code
+        _write_json(out_dir / "boundary_witness.json", povm_to_json(witness_povm(boundary)))
+    print(f"overall: {({0: 'pass', 1: 'fail', 3: 'undecided'})[rep.exit_code()]}")
+    return rep.checks, rep.input_digests
 
 
 # ------------------------------------------------------------------ parser
@@ -412,58 +375,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    # every command writes its report through main
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json-out", default=None)
+    add = functools.partial(subs.add_parser, parents=[report])
 
-    p = subs.add_parser("validate", help="check an observable/channel/dilation file")
+    p = add("validate", help="check an observable/channel/dilation file")
     p.add_argument("path")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_validate)
 
-    p = subs.add_parser("joint", help="search for a joint observable")
+    p = add("joint", help="search for a joint observable")
     p.add_argument("paths", nargs="+", metavar="POVM_JSON")
     p.add_argument("--exact-qubit", action="store_true",
                    help="use the closed-form qubit criterion when applicable")
     p.add_argument("--witness-out", default=None)
-    p.add_argument("--json-out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_joint)
 
-    p = subs.add_parser("universal", help="build the universal channel of an observable")
+    p = add("universal", help="build the universal channel of an observable")
     p.add_argument("a_path")
     p.add_argument("b_path", nargs="?", default=None)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--json-out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_universal)
 
-    p = subs.add_parser("conjugate-test",
-                        help="test whether a channel admits a later measurement of B")
+    p = add("conjugate-test", help="test whether a channel admits a later measurement of B")
     p.add_argument("channel_path")
     p.add_argument("b_path")
     p.add_argument("--witness-out", default=None)
-    p.add_argument("--json-out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_conjugate_test)
 
-    p = subs.add_parser("nondisturb", help="check the nondisturbance condition")
+    p = add("nondisturb", help="check the nondisturbance condition")
     p.add_argument("channel_path")
     p.add_argument("b_path")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_nondisturb)
 
-    p = subs.add_parser("dilate", help="construct a Naimark dilation")
+    p = add("dilate", help="construct a Naimark dilation")
     p.add_argument("path")
     p.add_argument("--canonical", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_dilate)
 
-    p = subs.add_parser("selftest", help="run the named verification checks")
+    p = add("selftest", help="run the named verification checks")
     p.add_argument("--only", action="append", choices=CHECK_NAMES, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--json-out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_selftest)
 
@@ -473,7 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        checks, inputs = args.func(args)
+        command = (args.command, *_echo_flags(args)) if args.json_out else ()
+        rep = Report(__version__, command, getattr(args, "seed", 0), tuple(checks), inputs)
+        if args.json_out:
+            _write_json(args.json_out, rep.to_json())
+        return rep.exit_code()
     except (SchemaError, NecessaryConditionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .feasibility import (
     UNDECIDED,
     DEFAULT_OPTIONS,
     SolverOptions,
-    busch_criterion,
     busch_value,
     conjugate_is_b_channel,
     find_joint_observable,
@@ -460,8 +459,9 @@ def run_checks(
     only: Iterable[str] | None = None,
     seed: int = 0,
     opts: SolverOptions = DEFAULT_OPTIONS,
-    command: Sequence[str] = (),
 ) -> Report:
+    """Run the named checks, all of them when `only` is None, in `_CHECKS`
+    order. `seqmeas selftest` reports them under its own command line."""
     wanted = None if only is None else set(only)
     if wanted is not None:
         unknown = wanted.difference(CHECK_NAMES)
@@ -478,7 +478,7 @@ def run_checks(
         )
     return Report(
         version=__version__,
-        command=tuple(command),
+        command=(),
         seed=seed,
         checks=tuple(results),
         input_digests=_reference_inputs(),

@@ -371,3 +371,70 @@ def test_version_exit_leaves_the_parser_usable(files, capsys):
     assert stop.value.code == 0
     assert main(["validate", write("a.json", povm_to_json(A08))]) == 0
     assert "valid observable" in capsys.readouterr().out
+
+
+REPORT_CALLS = {
+    "validate-pass": (["validate", "a.json"], 0),
+    "validate-fail": (["validate", "doubled.json"], 1),
+    "joint-pass": (["joint", "a.json", "b06.json"], 0),
+    "joint-fail": (["joint", "a.json", "b07.json"], 1),
+    "joint-undecided": (["joint", "a.json", "b09.json", "--max-iters", "1"], 3),
+    "exact-qubit-pass": (["joint", "a.json", "b06.json", "--exact-qubit"], 0),
+    "exact-qubit-fail": (["joint", "a.json", "b07.json", "--exact-qubit"], 1),
+    "universal-pass": (["universal", "a.json", "c.json"], 0),
+    "universal-fail": (["universal", "a.json", "b07.json"], 1),
+    "universal-undecided": (["universal", "a.json", "c.json", "--max-iters", "1"], 3),
+    "conjugate-pass": (["conjugate-test", "lud.json", "b06.json"], 0),
+    "conjugate-refuted": (["conjugate-test", "lud.json", "c.json"], 1),
+    "nondisturb-pass": (["nondisturb", "lud.json", "a.json"], 0),
+    "nondisturb-fail": (["nondisturb", "lud.json", "b06.json"], 1),
+    "dilate-pass": (["dilate", "c.json", "--canonical"], 0),
+    "selftest-subset": (["selftest", "--only", "duality", "--only", "triplet"], 0),
+}
+
+
+@pytest.fixture
+def documents(files):
+    tmp, write = files
+    doubled = povm_to_json(A08)
+    for rec in doubled["outcomes"]:
+        rec["matrix"] = [[[2 * re, 2 * im] for re, im in row] for row in rec["matrix"]]
+    docs = {"a.json": povm_to_json(A08), "b06.json": povm_to_json(B06),
+            "b07.json": povm_to_json(B07), "doubled.json": doubled,
+            "b09.json": povm_to_json(qubit_binary(0.9, AXIS_X)),
+            "c.json": povm_to_json(four_outcome_refinement(0.8)),
+            "lud.json": channel_to_json(luders(A08))}
+    return tmp, {name: write(name, doc) for name, doc in docs.items()}
+
+
+@pytest.mark.parametrize("argv, expected", REPORT_CALLS.values(), ids=REPORT_CALLS.keys())
+def test_exit_code_is_read_from_the_reports_gating_checks(documents, argv, expected):
+    tmp, paths = documents
+    report = tmp / "report.json"
+    code = main([paths.get(a, a) for a in argv] + ["--json-out", str(report)])
+    gating = {c["status"] for c in json.loads(report.read_text())["checks"] if c["gating"]}
+    assert code == expected == (1 if "fail" in gating else 3 if "undecided" in gating else 0)
+
+
+def test_selftest_report_names_its_command_and_seed(tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["selftest", "--only", "duality", "--seed", "7",
+                 "--json-out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["command"][0] == "selftest" and "seed=7" in doc["command"]
+    assert doc["seed"] == 7
+
+
+def test_an_output_path_that_cannot_be_written_is_an_input_error(documents, capsys):
+    tmp, paths = documents
+    missing = str(tmp / "nodir" / "out.json")
+    calls = [
+        (["joint", paths["a.json"], paths["b06.json"], "--witness-out", missing], missing),
+        (["universal", paths["a.json"], paths["b06.json"], "--out-dir", paths["c.json"]],
+         paths["c.json"]),
+        (["validate", paths["a.json"], "--json-out", missing], missing),
+    ]
+    for argv, target in calls:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {target}" in err and "Traceback" not in err
