@@ -33,24 +33,23 @@ from .feasibility import (
     FeasibilityError,
     NecessaryConditionError,
     SolverOptions,
-    busch_value,
     conjugate_is_b_channel,
     find_joint_observable,
+    qubit_pair_value,
     witness_povm,
 )
 from .harness import A_STRENGTH, B_STRENGTH, CHECK_NAMES, Report, CheckResult, run_checks
-from .linalg import CHECK_TOL, QUBIT_TOL, RECOVERY_FLOOR, WITNESS_TOL, dagger, frob, is_psd
+from .linalg import (
+    BOUNDARY_SLACK, CHECK_TOL, QUBIT_TOL, RECOVERY_FLOOR, WITNESS_TOL, dagger, frob, is_psd,
+)
 from .povm import (
     AXIS_X,
     AXIS_Z,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     Povm,
-    bloch_vector,
     four_outcome_refinement,
     qubit_binary,
     refinement_joint,
+    validate,
 )
 from .sequential import _instrument, _modified, verify_sequential
 from .serialize import (
@@ -199,24 +198,6 @@ def cmd_validate(args):
 # ------------------------------------------------------------------- joint
 
 
-def _unbiased_qubit_binary(p: Povm):
-    """Sharpness and unit axis when p is (1/2)(I +- t n.sigma) to
-    `QUBIT_TOL`, else None."""
-    if p.dim != 2 or len(p) != 2:
-        return None
-    eff = p.effects[1]
-    if abs(np.trace(eff).real - 1.0) > QUBIT_TOL:
-        return None
-    v = bloch_vector(eff)
-    t = float(np.linalg.norm(v))
-    if not 0 < t <= 1 + QUBIT_TOL:
-        return None
-    model = 0.5 * (np.eye(2) + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
-    if frob(eff - model) > QUBIT_TOL or frob(p.effects[0] - (np.eye(2) - model)) > QUBIT_TOL:
-        return None
-    return min(t, 1.0), v / t
-
-
 def cmd_joint(args):
     observables = [povm_from_json(_read_json(p)) for p in args.paths]
     opts = _solver_options(args)
@@ -224,17 +205,13 @@ def cmd_joint(args):
     if args.exact_qubit:
         if len(observables) != 2:
             raise SchemaError("", "--exact-qubit applies to exactly two observables")
-        recognized = [_unbiased_qubit_binary(p) for p in observables]
-        if all(r is not None for r in recognized):
-            (ta, na), (tb, nb) = recognized
-            theta = math.acos(min(1.0, abs(float(np.dot(na, nb)))))
-            value = busch_value(ta, tb, theta)
-            compatible = value <= 1.0
+        if all(p.dim == 2 and len(p) == 2 and validate(p, QUBIT_TOL) for p in observables):
+            value = qubit_pair_value(*observables)
+            compatible = value <= 1.0 + BOUNDARY_SLACK
             verdict = "jointly measurable" if compatible else "not jointly measurable"
             print(f"exact qubit criterion: {value:.6f} (boundary 1) -> {verdict}")
-            return [_check("busch-criterion", compatible, 0.0,
-                           {"value": value, "sharpness": [ta, tb], "angle": theta})], inputs
-        print("inputs are not unbiased qubit binaries; falling back to the solver")
+            return [_check("qubit-criterion", compatible, 0.0, {"value": value})], inputs
+        print("inputs are not valid two-outcome qubit observables; falling back to the solver")
     start = time.perf_counter()
     out = find_joint_observable(*observables, opts=opts)
     seconds = time.perf_counter() - start
@@ -388,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("joint", help="search for a joint observable")
     p.add_argument("paths", nargs="+", metavar="POVM_JSON")
     p.add_argument("--exact-qubit", action="store_true",
-                   help="use the closed-form qubit criterion when applicable")
+                   help="decide two-outcome qubit pairs by their closed-form criterion")
     p.add_argument("--witness-out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_joint)

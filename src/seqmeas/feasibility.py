@@ -98,7 +98,7 @@ from .linalg import (
     BOUNDARY_SLACK, CERTIFICATE_SLACK, CHECK_TOL, NECESSARY_TOL, RANK_RCOND, RANK_TOL,
     dagger,
 )
-from .povm import SIGMA_X, SIGMA_Z, Label, Povm
+from .povm import SIGMA_X, SIGMA_Z, Label, Povm, bloch_vector
 
 __all__ = [
     "FEASIBLE",
@@ -114,8 +114,7 @@ __all__ = [
     "recover_b_prime",
     "find_joint_observable",
     "witness_povm",
-    "busch_value",
-    "busch_criterion",
+    "qubit_pair_value",
     "orthogonal_joint_observable",
 ]
 
@@ -562,8 +561,9 @@ def find_joint_observable(
     The search starts from the chained Jordan product A o (B o C), with
     X o Y = (X Y + Y X) / 2: being bilinear with I o X = X, it meets
     every marginal exactly, it is the joint itself when the observables
-    commute or when two unbiased qubit binaries pass `busch_criterion`
-    (it is positive exactly then), and it costs no eigendecomposition.
+    commute or when two unbiased qubit binaries are compatible (it is
+    positive exactly when their `qubit_pair_value` is at most one), and it
+    costs no eigendecomposition.
     """
     if len(observables) < 2:
         raise ValueError("need at least two observables")
@@ -601,23 +601,38 @@ def _check_strength(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1]")
 
 
-def busch_value(s: float, t: float, theta: float) -> float:
-    """Value whose comparison with one decides qubit pair compatibility."""
-    _check_strength("s", s)
-    _check_strength("t", t)
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError("theta must lie in [0, pi/2]")
-    c = math.cos(theta)
-    return s * s + t * t - c * c * s * s * t * t
+def _binary_terms(p: Povm) -> tuple[float, np.ndarray, float]:
+    """x, a and F_x of the first effect ((1 + x) I + a.sigma) / 2 of a
+    two-outcome qubit observable."""
+    if p.dim != 2 or len(p) != 2:
+        raise ValueError("expected a two-outcome qubit observable")
+    x = float(np.trace(p.effects[0]).real) - 1.0
+    a = bloch_vector(p.effects[0])
+    aa = float(a @ a)
+    # roundoff may push a valid effect's (1 +- x)^2 - |a|^2 just below zero
+    f = (math.sqrt(max(0.0, (1 + x) ** 2 - aa)) + math.sqrt(max(0.0, (1 - x) ** 2 - aa))) / 2
+    return x, a, f
 
 
-def busch_criterion(s: float, t: float, theta: float) -> bool:
-    """Exact compatibility test for two unbiased qubit binaries.
+def qubit_pair_value(e: Povm, f: Povm) -> float:
+    """Value whose comparison with one decides whether two valid two-outcome
+    qubit observables are jointly measurable (Yu, Liu, Li & Oh, PRA 81,
+    062116, 2010).
 
-    The observables are strength-`s` and strength-`t` binaries whose
-    Bloch axes meet at angle `theta`.
+    With first effects ((1 + x) I + a.sigma) / 2 and ((1 + y) I + b.sigma) / 2
+    and F_x = (sqrt((1 + x)^2 - |a|^2) + sqrt((1 - x)^2 - |a|^2)) / 2 (F_y
+    likewise), it is 1 + (1 - F_x^2 - F_y^2)(1 - x^2/F_x^2 - y^2/F_y^2)
+    - (a.b - x y)^2; the other effects give the same value.  For unbiased
+    binaries of strengths s and t at angle theta it is s^2 + t^2 - s^2 t^2
+    cos^2 theta.  A sharp unbiased effect has x = F_x = 0, where x^2/F_x^2
+    takes its limit 0; commuting sharp pairs then sit exactly at one, so a
+    verdict allows `BOUNDARY_SLACK`.  Raises ValueError unless both have two
+    outcomes on a qubit; positivity is the caller's to check (`validate`).
     """
-    return busch_value(s, t, theta) <= 1.0
+    x, a, fx = _binary_terms(e)
+    y, b, fy = _binary_terms(f)
+    bias = (x * x / (fx * fx) if fx else 0.0) + (y * y / (fy * fy) if fy else 0.0)
+    return 1.0 + (1.0 - fx * fx - fy * fy) * (1.0 - bias) - (float(a @ b) - x * y) ** 2
 
 
 def orthogonal_joint_observable(s: float, t: float) -> Povm:

@@ -40,14 +40,14 @@ from .feasibility import (
     UNDECIDED,
     DEFAULT_OPTIONS,
     SolverOptions,
-    busch_value,
     conjugate_is_b_channel,
     find_joint_observable,
     orthogonal_joint_observable,
+    qubit_pair_value,
     recover_b_prime,
     witness_povm,
 )
-from .linalg import WITNESS_TOL, dagger, frob
+from .linalg import CHECK_TOL, MARGINAL_TOL, WITNESS_TOL, dagger, frob
 from .povm import (
     AXIS_X,
     AXIS_Z,
@@ -124,6 +124,12 @@ B_STRENGTH = 0.6
 GRID_POINTS = 20
 GRID_ANGLES = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 BOUNDARY_MARGIN = 1e-3
+# bounds the checks hold their results to and report: the floor a certified
+# "no" must prove, the defect of identities exact up to roundoff, and that
+# of dilation identities, whose isometries come from eigensolves
+FLOOR_REQUIREMENT = 1e-4
+IDENTITY_TOL = 1e-10
+DILATION_TOL = 1e-9
 
 QUBIT_BASIS_STATES = (
     np.diag([1.0, 0.0]).astype(complex),
@@ -149,8 +155,8 @@ def _reference_inputs() -> dict:
 
 
 def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
-    strengths = np.linspace(0.05, 1.0, GRID_POINTS)
-    a_axis = np.asarray(AXIS_Z, dtype=float)
+    strengths = [float(s) for s in np.linspace(0.05, 1.0, GRID_POINTS)]
+    a_obs = [qubit_binary(s, AXIS_Z) for s in strengths]
     run = skipped = agree = undecided = 0
     worst_feasible = 0.0
     worst_floor = math.inf
@@ -158,19 +164,15 @@ def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
     sweeps: dict[str, int] = {}
     max_sweeps: dict[str, int] = {}
     for theta in GRID_ANGLES:
-        b_axis = _tilted_axis(theta)
-        for s in strengths:
-            for t in strengths:
-                value = busch_value(float(s), float(t), theta)
+        b_obs = [qubit_binary(t, _tilted_axis(theta)) for t in strengths]
+        for a in a_obs:
+            for b in b_obs:
+                value = qubit_pair_value(a, b)
                 if abs(value - 1.0) <= BOUNDARY_MARGIN:
                     skipped += 1
                     continue
                 run += 1
-                out = find_joint_observable(
-                    qubit_binary(float(s), a_axis),
-                    qubit_binary(float(t), b_axis),
-                    opts=opts,
-                )
+                out = find_joint_observable(a, b, opts=opts)
                 reasons[out.reason] = reasons.get(out.reason, 0) + 1
                 sweeps[out.status] = sweeps.get(out.status, 0) + out.iterations
                 max_sweeps[out.status] = max(max_sweeps.get(out.status, 0), out.iterations)
@@ -186,8 +188,8 @@ def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
     ok = (
         agree == run
         and undecided == 0
-        and worst_feasible <= 1e-8
-        and worst_floor >= 1e-4
+        and worst_feasible <= CHECK_TOL
+        and worst_floor >= FLOOR_REQUIREMENT
     )
     status = "undecided" if undecided and agree + undecided == run else (
         "pass" if ok else "fail"
@@ -199,8 +201,8 @@ def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
         "undecided": undecided,
         "worst_feasible_residual": worst_feasible,
         "worst_infeasibility_floor": None if math.isinf(worst_floor) else worst_floor,
-        "feasible_tolerance": 1e-8,
-        "floor_requirement": 1e-4,
+        "feasible_tolerance": CHECK_TOL,
+        "floor_requirement": FLOOR_REQUIREMENT,
         "reasons": reasons,
         "sweeps": sweeps,
         "max_sweeps": max_sweeps,
@@ -208,19 +210,19 @@ def _check_busch_grid(seed: int, opts: SolverOptions) -> tuple[str, dict]:
 
 
 def _check_luders_implementation(seed: int, opts: SolverOptions) -> tuple[str, dict]:
-    lam = luders(qubit_binary(A_STRENGTH, AXIS_Z))
+    a = qubit_binary(A_STRENGTH, AXIS_Z)
+    lam = luders(a)
     rows = []
     worst = 0.0
     for theta in GRID_ANGLES[1:]:
         sharp = qubit_binary(1.0, _tilted_axis(theta))
-        v = bloch_vector(heisenberg_apply(lam, sharp.effect((1,))))
-        t_imp = float(np.linalg.norm(v))
-        cos_imp = abs(float(v[2])) / t_imp
-        defect = abs(busch_value(A_STRENGTH, t_imp, math.acos(min(1.0, cos_imp))) - 1.0)
+        implemented = Povm(2, zip(sharp.labels, heisenberg_apply(lam, sharp.effects)))
+        t_imp = float(np.linalg.norm(bloch_vector(implemented.effect((1,)))))
+        defect = abs(qubit_pair_value(a, implemented) - 1.0)
         worst = max(worst, defect)
         rows.append({"theta": theta, "t_implemented": t_imp, "boundary_defect": defect})
-    status = "pass" if worst <= 1e-10 else "fail"
-    return status, {"cases": rows, "worst_defect": worst, "tolerance": 1e-10}
+    status = "pass" if worst <= IDENTITY_TOL else "fail"
+    return status, {"cases": rows, "worst_defect": worst, "tolerance": IDENTITY_TOL}
 
 
 def _check_luders_not_universal(seed: int, opts: SolverOptions) -> tuple[str, dict]:
@@ -230,14 +232,15 @@ def _check_luders_not_universal(seed: int, opts: SolverOptions) -> tuple[str, di
     refinement_ok = validate(c) and effects_close(marginal(c, 0), a, tol=1e-12)
     if out.status == UNDECIDED:
         status = "undecided"
-    elif out.status == INFEASIBLE and out.infeasibility_floor >= 1e-4 and refinement_ok:
+    elif (out.status == INFEASIBLE and out.infeasibility_floor >= FLOOR_REQUIREMENT
+          and refinement_ok):
         status = "pass"
     else:
         status = "fail"
     return status, {
         "status": out.status,
         "residual_floor": out.infeasibility_floor,
-        "floor_requirement": 1e-4,
+        "floor_requirement": FLOOR_REQUIREMENT,
         "refinement_valid": refinement_ok,
         "reason": out.reason,
         "sweeps": out.iterations,
@@ -258,11 +261,10 @@ def _recovery_cases(seed: int, opts: SolverOptions) -> list[tuple[str, Povm, Pov
     found = 0
     while found < 5:
         t = float(rng.uniform(0.1, 0.95))
-        theta = float(rng.uniform(0.0, math.pi / 2))
-        if busch_value(A_STRENGTH, t, theta) > 0.98:
+        b = qubit_binary(t, _tilted_axis(float(rng.uniform(0.0, math.pi / 2))))
+        if qubit_pair_value(a, b) > 0.98:
             continue
         found += 1
-        b = qubit_binary(t, _tilted_axis(theta))
         out = find_joint_observable(a, b, opts=tight)
         cases.append((f"random-{found}", witness_povm(out), b))
     return cases
@@ -275,18 +277,17 @@ def _check_universal_recovery(seed: int, opts: SolverOptions) -> tuple[str, dict
     rows = []
     worst = 0.0
     for name, joint, b in _recovery_cases(seed, opts):
-        b_prime = _modified(mini, a, joint)
-        order = [b_prime.labels.index(lbl) for lbl in b.labels]
-        recovered = heisenberg_apply(uni, b_prime.effects[order])
+        # _modified returns B' in the sorted labels of B
+        recovered = heisenberg_apply(uni, _modified(mini, a, joint).effects)
         resid = float(np.linalg.norm(recovered - b.effects, axis=(1, 2)).max())
         worst = max(worst, resid)
         rows.append({"case": name, "residual": resid})
-    status = "pass" if worst <= 1e-8 else "fail"
+    status = "pass" if worst <= CHECK_TOL else "fail"
     return status, {
         "channel_dim_out": uni.dim_out,
         "cases": rows,
         "worst_residual": worst,
-        "tolerance": 1e-8,
+        "tolerance": CHECK_TOL,
     }
 
 
@@ -295,8 +296,8 @@ def _check_sharp_reduction(seed: int, opts: SolverOptions) -> tuple[str, dict]:
     mini = naimark_minimal(sharp)
     identified = KrausChannel(2, 2, dagger(mini.isometry) @ _instrument(mini).kraus)
     diff = frob(choi(identified) - choi(luders(sharp)))
-    status = "pass" if diff <= 1e-10 else "fail"
-    return status, {"choi_difference": diff, "tolerance": 1e-10}
+    status = "pass" if diff <= IDENTITY_TOL else "fail"
+    return status, {"choi_difference": diff, "tolerance": IDENTITY_TOL}
 
 
 def _check_minimal_dilation_dims(seed: int, opts: SolverOptions) -> tuple[str, dict]:
@@ -311,12 +312,12 @@ def _check_minimal_dilation_dims(seed: int, opts: SolverOptions) -> tuple[str, d
         d = naimark_minimal(obs)
         good = (
             d.dim_k == want
-            and verify_dilation(obs, d, tol=1e-9)
+            and verify_dilation(obs, d, tol=DILATION_TOL)
             and is_minimal(d)
         )
         ok = ok and good
         rows.append({"observable": name, "dim": d.dim_k, "expected": want, "ok": good})
-    return ("pass" if ok else "fail"), {"cases": rows, "tolerance": 1e-9}
+    return ("pass" if ok else "fail"), {"cases": rows, "tolerance": DILATION_TOL}
 
 
 def _check_triplet(seed: int, opts: SolverOptions) -> tuple[str, dict]:
@@ -338,7 +339,7 @@ def _check_triplet(seed: int, opts: SolverOptions) -> tuple[str, dict]:
         )
         if not want_triple:
             good = good and triple.status == INFEASIBLE and (
-                triple.infeasibility_floor >= 1e-4
+                triple.infeasibility_floor >= FLOOR_REQUIREMENT
             )
         ok = ok and good
         rows.append({
@@ -350,7 +351,7 @@ def _check_triplet(seed: int, opts: SolverOptions) -> tuple[str, dict]:
             "triple_sweeps": triple.iterations,
         })
     status = "undecided" if saw_undecided else ("pass" if ok else "fail")
-    return status, {"cases": rows, "floor_requirement": 1e-4}
+    return status, {"cases": rows, "floor_requirement": FLOOR_REQUIREMENT}
 
 
 def _random_cptp(rng: np.random.Generator) -> KrausChannel:
@@ -385,8 +386,8 @@ def _check_duality(seed: int, opts: SolverOptions) -> tuple[str, dict]:
         lhs = np.trace(apply(c, rho) @ t)
         rhs = np.trace(rho @ heisenberg_apply(c, t))
         worst = max(worst, abs(lhs - rhs))
-    status = "pass" if worst <= 1e-10 else "fail"
-    return status, {"triples": 100, "worst_gap": worst, "tolerance": 1e-10}
+    status = "pass" if worst <= IDENTITY_TOL else "fail"
+    return status, {"triples": 100, "worst_gap": worst, "tolerance": IDENTITY_TOL}
 
 
 def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dict]:
@@ -418,17 +419,17 @@ def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dic
             gap = frob(apply(readout, rho) - apply(gamma, apply(uni, rho)))
             worst_factor = max(worst_factor, gap)
         # solver witnesses must stand on their own
-        witnesses_valid = witnesses_valid and validate(joint, tol=1e-6)
+        witnesses_valid = witnesses_valid and validate(joint, tol=MARGINAL_TOL)
         gaps = marginal(joint, 0).effects - a.effects
         worst_witness = max(worst_witness, float(np.linalg.norm(gaps, axis=(1, 2)).max()))
     recovered = recover_b_prime(uni, four_outcome_refinement(A_STRENGTH), opts=opts)
-    witnesses_valid = witnesses_valid and validate(recovered, tol=1e-6)
+    witnesses_valid = witnesses_valid and validate(recovered, tol=MARGINAL_TOL)
     ok = (
-        worst_aux <= 1e-9
-        and worst_b_prime <= 1e-9
-        and worst_factor <= 1e-9
+        worst_aux <= DILATION_TOL
+        and worst_b_prime <= DILATION_TOL
+        and worst_factor <= DILATION_TOL
         and witnesses_valid
-        and worst_witness <= 1e-6
+        and worst_witness <= MARGINAL_TOL
     )
     return ("pass" if ok else "fail"), {
         "worst_auxiliary_residual": worst_aux,
@@ -436,7 +437,7 @@ def _check_dilation_identities(seed: int, opts: SolverOptions) -> tuple[str, dic
         "worst_factorization_residual": worst_factor,
         "worst_witness_marginal_gap": worst_witness,
         "witnesses_valid": witnesses_valid,
-        "tolerance": 1e-9,
+        "tolerance": DILATION_TOL,
     }
 
 

@@ -38,7 +38,8 @@ def test_criterion_1_busch_grid_agreement(report):
 
 def test_busch_grid_solves_end_within_four_sweeps(report):
     # the joint search starts from the Jordan product of the pair, which
-    # for unbiased qubit binaries is positive exactly when busch_value <= 1
+    # for unbiased qubit binaries is positive exactly when their
+    # qubit_pair_value is at most one
     d = report["busch-grid"].details
     assert d["max_sweeps"] == {"feasible": 1, "infeasible": 4}
 

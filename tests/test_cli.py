@@ -13,6 +13,9 @@ from seqmeas.dilation import NaimarkDilation, naimark_minimal
 from seqmeas.povm import (
     AXIS_X,
     AXIS_Z,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     Povm,
     effects_close,
     four_outcome_refinement,
@@ -160,6 +163,37 @@ def test_exact_qubit_criterion_paths(files, capsys):
     assert main(["joint", a, b_no, "--exact-qubit"]) == 1
     assert main(["joint", a, c, "--exact-qubit"]) == 0
     assert "falling back" in capsys.readouterr().out
+
+
+def _binary(y, b):
+    """The qubit observable with effects ((1 +- y) I +- b.sigma) / 2."""
+    pointing = sum(c * sigma for c, sigma in zip(b, (SIGMA_X, SIGMA_Y, SIGMA_Z)))
+    eye = np.eye(2)
+    return Povm(2, [((1,), ((1 + y) * eye + pointing) / 2),
+                    ((-1,), ((1 - y) * eye - pointing) / 2)])
+
+
+@pytest.mark.parametrize("f, code", [
+    pytest.param(_binary(-0.1, (0.4, 0.0, 0.0)), 0, id="compatible"),
+    pytest.param(_binary(-0.1, (0.85, 0.0, 0.0)), 1, id="incompatible"),
+])
+def test_exact_qubit_criterion_decides_biased_pairs(files, capsys, f, code):
+    _, write = files
+    e = write("e.json", povm_to_json(_binary(0.1, (0.0, 0.0, 0.85))))
+    assert main(["joint", e, write("f.json", povm_to_json(f)), "--exact-qubit"]) == code
+    out = capsys.readouterr().out
+    assert "exact qubit criterion" in out
+    assert "falling back" not in out
+
+
+def test_exact_qubit_criterion_leaves_invalid_binaries_to_the_solver(files, capsys):
+    # effects (I +- 1.2 Z) / 2 sum to I, but one has eigenvalue -0.1
+    _, write = files
+    bad = write("bad.json", povm_to_json(_binary(0.0, (0.0, 0.0, 1.2))))
+    assert main(["joint", bad, write("b.json", povm_to_json(B06)), "--exact-qubit"]) == 1
+    out = capsys.readouterr().out
+    assert "falling back" in out
+    assert "nan" not in out
 
 
 def test_universal_writes_channel_and_recovers(files, tmp_path):
